@@ -79,11 +79,11 @@ def _cmd_gen(args) -> int:
     if kind is None:
         raise ParameterError(f"unknown ensemble kind {args.kind!r}")
     seed = parse_seed(args.seed)
+    bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
     a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
     fileio.write_matrix(a, args.out)
     norm = spectral_norm(a)
     entry = max_abs_entry(a)
-    bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
     unit = abs(norm - 1.0) <= 1e-9
     entry_ok = entry <= bound if math.isfinite(bound) else False
     print(f"wrote {args.out}")
@@ -112,6 +112,10 @@ def _restrict_partition(part: Partition, n: int) -> Partition:
 
 
 def _cmd_pave(args) -> int:
+    if args.m <= 0:
+        raise ParameterError(f"m must be positive, got {args.m}")
+    if args.trials < 1:
+        raise ParameterError(f"need at least one trial, got {args.trials}")
     a = fileio.read_matrix(args.input)
     if not a.is_square:
         raise ParameterError("paving needs a square matrix")

@@ -9,6 +9,11 @@ standard error for the 1/p power of the sample mean.
 Patterns are ordered by a binary counter on coordinate masks (or by first
 occurrence for sampled draws), and all reductions run in that fixed order, so
 results are bitwise reproducible.
+
+Cost model: a restricted norm ||A_{sigma,tau}|| is the largest singular value
+of the gathered |sigma| x |tau| submatrix, so a pattern with r selected rows
+and c selected columns costs O(r c min(r, c)), not O(n^3).  Patterns of equal
+(r, c) are factored together in stacks of at most `_chunk_rows(r, c)`.
 """
 from __future__ import annotations
 
@@ -102,14 +107,33 @@ def batch_spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> np.ndarray:
-    """||P_sigma A P_tau|| for each (row mask, column mask) pair of rows."""
-    out = np.empty(row_bits.shape[0])
-    step = _chunk_rows(a.shape[0], a.shape[1])
-    for start in range(0, row_bits.shape[0], step):
-        rb = row_bits[start:start + step]
-        cb = col_bits[start:start + step]
-        stack = a[None, :, :] * rb[:, :, None] * cb[:, None, :]
-        out[start:start + rb.shape[0]] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """||P_sigma A P_tau|| for each (row mask, column mask) pair of rows.
+
+    The norm is that of the gathered |sigma| x |tau| submatrix.  Patterns are
+    bucketed by (row count, column count), and each bucket's submatrices are
+    factored as one stack, chunked as in `batch_spectral_norms`; patterns with
+    an empty side are 0.  Results come back in input order.
+    """
+    rows = np.asarray(row_bits) != 0
+    cols = np.asarray(col_bits) != 0
+    out = np.zeros(rows.shape[0])
+    if out.size == 0:
+        return out
+    r_count = rows.sum(axis=1)
+    c_count = cols.sum(axis=1)
+    key = r_count * (cols.shape[1] + 1) + c_count
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    for bucket in np.split(order, starts[1:]):
+        r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
+        if r == 0 or c == 0:
+            continue
+        step = _chunk_rows(r, c)
+        for start in range(0, bucket.size, step):
+            sel = bucket[start:start + step]
+            ri = np.nonzero(rows[sel])[1].reshape(-1, r)
+            ci = np.nonzero(cols[sel])[1].reshape(-1, c)
+            out[sel] = batch_spectral_norms(a[ri[:, :, None], ci[:, None, :]])
     return out
 
 
@@ -272,14 +296,13 @@ def _mc_values(a: DenseMatrix, model: ProjectorModel, masks) -> tuple[np.ndarray
             rb = _unpack_codes(uniq >> np.uint64(n), n)
             cb = _unpack_codes(uniq & np.uint64((1 << n) - 1), n)
             return masked_norms(a.data, rb, cb), counts
-        rb, cb = masks[0].astype(np.float64), masks[1].astype(np.float64)
-        return masked_norms(a.data, rb, cb), np.ones(rb.shape[0])
+        return masked_norms(a.data, masks[0], masks[1]), np.ones(masks[0].shape[0])
     mask = masks[0]
     if dedupe:
         uniq, counts = np.unique(_pack_codes(mask), return_counts=True)
         bits = _unpack_codes(uniq, n)
     else:
-        bits, counts = mask.astype(np.float64), np.ones(mask.shape[0])
+        bits, counts = mask, np.ones(mask.shape[0])
     if isinstance(model, RademacherSigns):
         return sign_sum_norms(a.data, 2.0 * bits - 1.0), counts
     return masked_norms(a.data, bits, bits), counts

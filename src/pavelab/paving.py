@@ -73,8 +73,8 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
     keys = seed.rng("random_pave").random((trials, n))
     perms = np.argsort(keys, axis=1)
     block_of = np.repeat(np.arange(trials * m), k)
-    masks = np.zeros((trials * m, n), dtype=np.float64)
-    masks[block_of, perms.reshape(-1)] = 1.0
+    masks = np.zeros((trials * m, n), dtype=bool)
+    masks[block_of, perms.reshape(-1)] = True
     best, _ = _quality_argmin(a.data, masks, m)
     blocks = perms[best].reshape(m, k)
     part = Partition.from_blocks(n, blocks)
@@ -165,10 +165,10 @@ def exhaustive_pave(a: DenseMatrix, m: int, balanced_only: bool = True) -> Pavin
             )
         partitions = list(_set_partitions(n, m))
     assert len(partitions) == count
-    masks = np.zeros((count * m, n), dtype=np.float64)
+    masks = np.zeros((count * m, n), dtype=bool)
     for row, part in enumerate(partitions):
         for j, block in enumerate(part):
-            masks[row * m + j, list(block)] = 1.0
+            masks[row * m + j, list(block)] = True
     best, _ = _quality_argmin(a.data, masks, m)
     part = Partition.from_blocks(n, partitions[best])
     return PavingResult(

@@ -97,8 +97,8 @@ def subset_traces_and_norms(x: DenseMatrix, p: int):
     if n > TRACE_POLY_MAX_N:
         raise CapacityError(f"trace enumeration needs 2^{n} patterns")
     bits = mask_bits(n)
+    norms = masked_norms(x.data, bits, bits)
     stack = x.data[None, :, :] * bits[:, :, None] * bits[:, None, :]
-    norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
     # square-and-multiply on the whole stack
     result = None
     base = stack

@@ -53,6 +53,15 @@ class TestGen:
         assert code == EXIT_USAGE
 
 
+    def test_bad_gamma_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        code, _, err = run(
+            capsys, "gen", "bounded", "8", "--mu", "0.1", "--gamma", "0", "--out", str(path)
+        )
+        assert code == EXIT_USAGE and "error" in err
+        assert not path.exists()
+
+
 class TestPave:
     def test_single_block_quality_is_norm(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
@@ -107,6 +116,16 @@ class TestPave:
             for tok in line.split()
         }
         assert indices == set(range(5))
+
+    @pytest.mark.parametrize("flags", [("-m", "4", "--trials", "0"), ("-m", "0")])
+    def test_bad_flags_rejected_before_padding_warning(self, capsys, tmp_path, flags):
+        src = tmp_path / "s6.txt"
+        write_matrix(gen_ensemble("sign_normalized", 6, Seed(1)), src)
+        out_path = tmp_path / "p.txt"
+        code, out, err = run(capsys, "pave", str(src), *flags, "--out", str(out_path))
+        assert code == EXIT_USAGE and "error" in err
+        assert out == ""
+        assert not out_path.exists()
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -20,10 +20,11 @@ from pavelab import (
     spectral_norm,
 )
 
-from pavelab.moments import weighted_moment_stats
+from pavelab import moments, random_pave
+from pavelab.moments import masked_norms, weighted_moment_stats
 
 from .conftest import square_matrices
-from .oracles import brute_force_pair_moment, brute_force_sign_moment
+from .oracles import brute_force_pair_moment, brute_force_sign_moment, jacobi_spectral_norm
 
 
 class TestExactMoment:
@@ -205,3 +206,71 @@ def test_exact_moment_rate_monotone(a, rate, p):
     low = exact_moment(a, Bernoulli(a.n_rows, rate), p).value
     high = exact_moment(a, Bernoulli(a.n_rows, 2 * rate), p).value
     assert low <= high + 1e-12
+
+
+class TestMaskedNorms:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_jacobi_on_zero_masked_matrix(self, n):
+        rng = np.random.default_rng(1000 + n)
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        rate_r, rate_c = rng.uniform(0.2, 0.8, 2)
+        rows = rng.random((8, n)) < rate_r
+        cols = rng.random((8, n)) < rate_c
+        none, full = np.zeros((1, n), dtype=bool), np.ones((1, n), dtype=bool)
+        some = rng.random((1, n)) < 0.5
+        # empty rows, empty columns, full masks, ones x bits (RESTRICT_RV)
+        rows = np.vstack([rows, none, some, full, full, rows[:3]])
+        cols = np.vstack([cols, some, none, full, cols[:1], cols[3:6]])
+        got = masked_norms(a, rows.astype(np.float64), cols.astype(np.float64))
+        want = [jacobi_spectral_norm(a * rb[:, None] * cb[None, :])
+                for rb, cb in zip(rows, cols)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert got[8] == 0.0 and got[9] == 0.0
+        assert np.array_equal(masked_norms(a, rows, cols), got)
+
+    def test_rectangular_matrix_and_buckets(self, rng):
+        a = rng.uniform(-1.0, 1.0, (5, 7))
+        rows = rng.random((30, 5)) < 0.6
+        cols = rng.random((30, 7)) < 0.4
+        got = masked_norms(a, rows, cols)
+        want = [jacobi_spectral_norm(a[np.ix_(rb, cb)]) for rb, cb in zip(rows, cols)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_no_patterns(self):
+        assert masked_norms(np.eye(3), np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
+
+class TestChunkSizeDeterminism:
+    """Outputs are bitwise identical whatever the batch size of the kernels."""
+
+    def _both(self, monkeypatch, fn):
+        default = fn()
+        monkeypatch.setattr(moments, "_BATCH", 1)
+        return default, fn()
+
+    def test_masked_norms(self, monkeypatch, rng):
+        a = rng.uniform(-1.0, 1.0, (9, 9))
+        rows, cols = rng.random((300, 9)) < 0.5, rng.random((300, 9)) < 0.5
+        default, single = self._both(monkeypatch, lambda: masked_norms(a, rows, cols))
+        assert np.array_equal(default, single)
+
+    @pytest.mark.parametrize("model", [Bernoulli(8, 0.3), BernoulliPair(4, 0.4)])
+    def test_exact_moment(self, monkeypatch, rng, model):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (model.n, model.n)))
+        default, single = self._both(monkeypatch, lambda: exact_moment(a, model, 4.0))
+        assert default.value == single.value
+
+    @pytest.mark.parametrize("model", [Bernoulli(24, 0.3), BernoulliPair(24, 0.3)])
+    def test_mc_moment_without_dedupe(self, monkeypatch, rng, model):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (24, 24)) / 24)
+        default, single = self._both(
+            monkeypatch, lambda: mc_moment(a, model, 4.0, 64, Seed(5))
+        )
+        assert (default.value, default.stderr) == (single.value, single.stderr)
+
+    def test_random_pave(self, monkeypatch, rng):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (24, 24)))
+        default, single = self._both(monkeypatch, lambda: random_pave(a, 3, 40, Seed(8)))
+        assert default.quality == single.quality
+        assert default.best_trial_index == single.best_trial_index
+        assert default.partition == single.partition
