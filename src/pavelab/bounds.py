@@ -77,6 +77,28 @@ def delta_sufficient(gamma: float, eps: float) -> float:
     return (0.01 * eps) ** (2.0 * (1.0 + gamma) / gamma)
 
 
+def extrapolation_exponent(gamma: float) -> float:
+    """lambda = gamma / (2 + 2 gamma), the rate exponent of the extrapolation."""
+    return gamma / (2.0 + 2.0 * gamma)
+
+
+def reference_rate(n: int, gamma: float) -> float:
+    """rho = (log n)^(-1-2 gamma), the small rate the extrapolation starts from."""
+    return math.log(n) ** (-1.0 - 2.0 * gamma)
+
+
+def extrapolation_constant(symmetric: bool) -> float:
+    """C of the extrapolation bound: 60, halved for symmetric inputs."""
+    return 30.0 if symmetric else 60.0
+
+
+def extrapolation_bound(
+    constant: float, delta: float, rho: float, lam: float, ref_moment: float
+) -> float:
+    """Rate-delta moment bound C [delta^lam + rho^(-lam) ref_moment]."""
+    return constant * (delta ** lam + rho ** (-lam) * ref_moment)
+
+
 @dataclass(frozen=True)
 class ChainReport:
     """Every intermediate quantity of the extrapolation bound chain."""
@@ -141,12 +163,12 @@ def theorem_pipeline(
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
     ln = math.log(n)
     mu = mu_bound(n, gamma)
-    rho = ln ** (-1.0 - 2.0 * gamma)
+    rho = reference_rate(n, gamma)
     p = 2 * math.ceil(ln)
-    lam = gamma / (2.0 + 2.0 * gamma)
+    lam = extrapolation_exponent(gamma)
     log_exponent = lam * (1.0 + 2.0 * gamma) - gamma
     rho_moment_bound = 800.0 * ln ** (-gamma)
-    extrap_bound = 60.0 * delta ** lam + 48000.0 * ln ** log_exponent
+    extrap_bound = extrapolation_constant(False) * delta ** lam + 48000.0 * ln ** log_exponent
     final_bound = 100.0 * delta ** lam
     # smallest dyadic n at which 48000 (log n)^log_exponent <= 40 delta^lam,
     # i.e. where extrap_bound <= final_bound; reported as log2(n*).  Computed

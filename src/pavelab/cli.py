@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +23,10 @@ from .matrices import (
     paving_quality,
     spectral_norm,
 )
-from .moments import EXACT_BERNOULLI_MAX_N, exact_moment, mc_moment
+from .moments import EXACT_BERNOULLI_MAX_N, moment
 from .paving import pad_to_multiple, random_pave
 from .polynomials import check_markov, check_polynomial_sandwich, chebyshev_coefficients
-from .sampling import Bernoulli, gen_ensemble, parse_seed
+from .sampling import ENSEMBLE_KINDS, Bernoulli, gen_ensemble, parse_seed
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -35,31 +34,21 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 _ENSEMBLE_ALIASES = {
+    **{kind: kind for kind in ENSEMBLE_KINDS},
     "sign": "sign_normalized",
-    "sign_normalized": "sign_normalized",
-    "hadamard": "hadamard",
-    "hadamard_hollow": "hadamard_hollow",
     "bounded": "bounded_random",
-    "bounded_random": "bounded_random",
     "diagonal_free": "diagonal_free_random",
-    "diagonal_free_random": "diagonal_free_random",
 }
 
 SCAN_HEADER = "param,value,p,estimate,stderr,trials,seed,step3_bound,extrap_bound"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI run; reruns with an equal RunConfig
-    reproduce identical artifacts."""
-
-    command: str
-    options: tuple[tuple[str, object], ...] = field(default=())
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        opts = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-        return cls(command=args.command, options=tuple(sorted(opts.items())))
+def finite(text: str) -> float:
+    """argparse type of every float flag: rejects nan and +-inf (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -150,59 +139,37 @@ def _cmd_pave(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_case(case_id: str, size: str, master: int | None) -> tuple[int, int, list]:
+def _case_checks(case_id: str, size: str, master: int | None):
+    """(instance label, report line, holds) per suite instance of one case."""
     if size == "smoke":
         pool = [(0, suites.smoke_instance(case_id))]
     else:
         pool = suites.suite_instances(case_id, suites.SIZE_COUNTS[size], master)
-    passed, failures = 0, []
     for label, inst in pool:
         rep = verify_inequality(case_id, inst, method="exact")
-        print(format_report(rep))
-        if rep.holds:
-            passed += 1
-        else:
-            failures.append((case_id, label))
-    return passed, len(pool), failures
+        yield label, format_report(rep), rep.holds
 
 
-def _verify_markov() -> tuple[int, int, list]:
-    passed, total, failures = 0, 0, []
+def _markov_checks():
     for d in range(0, 11):
         rep = check_markov(chebyshev_coefficients(d), d)
-        total += 1
-        print(
-            f"case=MARKOV degree={d} max={'%.12g' % rep.max_abs} "
-            f"holds={_flag(rep.holds)}"
-        )
-        if rep.holds:
-            passed += 1
-        else:
-            failures.append(("MARKOV", d))
-    return passed, total, failures
+        line = f"case=MARKOV degree={d} max={'%.12g' % rep.max_abs} holds={_flag(rep.holds)}"
+        yield d, line, rep.holds
 
 
-def _verify_sandwich(size: str, master: int | None) -> tuple[int, int, list]:
-    count = suites.SIZE_COUNTS[size]
+def _sandwich_checks(size: str, master: int | None):
     grid = [0.1 * i for i in range(1, 10)]
-    passed, total, failures = 0, 0, []
     if size == "smoke":
         pool = [(0, DenseMatrix.zeros(4), 4)]
     else:
-        pool = suites.sandwich_instances(count, master)
+        pool = suites.sandwich_instances(suites.SIZE_COUNTS[size], master)
     for label, x, p in pool:
         rep = check_polynomial_sandwich(x, p, grid)
-        ok = rep.holds and rep.monotone
-        total += 1
-        print(
+        line = (
             f"case=SANDWICH n={x.n_rows} p={p} holds={_flag(rep.holds)} "
             f"monotone={_flag(rep.monotone)}"
         )
-        if ok:
-            passed += 1
-        else:
-            failures.append(("SANDWICH", label))
-    return passed, total, failures
+        yield label, line, rep.holds and rep.monotone
 
 
 def _cmd_verify(args) -> int:
@@ -217,13 +184,20 @@ def _cmd_verify(args) -> int:
     all_failures = []
     for case_id in chosen:
         if case_id == "MARKOV":
-            passed, total, failures = _verify_markov()
+            checks = _markov_checks()
         elif case_id == "SANDWICH":
-            passed, total, failures = _verify_sandwich(args.size, master)
+            checks = _sandwich_checks(args.size, master)
         else:
-            passed, total, failures = _verify_case(case_id, args.size, master)
+            checks = _case_checks(case_id, args.size, master)
+        passed = total = 0
+        for label, line, ok in checks:
+            print(line)
+            total += 1
+            if ok:
+                passed += 1
+            else:
+                all_failures.append((case_id, label))
         print(f"suite={case_id} passed={passed}/{total}")
-        all_failures.extend(failures)
     print(f"all_hold={_flag(not all_failures)}")
     for case_id, label in all_failures:
         print(f"violation case={case_id} instance_seed={label}")
@@ -236,7 +210,7 @@ def _cmd_verify(args) -> int:
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        grid = [float(t) for t in text.split(",") if t.strip()]
+        grid = [finite(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise ParameterError(f"bad grid {text!r}") from exc
     if not grid:
@@ -246,14 +220,9 @@ def _parse_grid(text: str) -> list[float]:
 
 def _estimate(a, rate, p, method, trials, seed, index):
     n = a.n_rows
-    exact_ok = n <= EXACT_BERNOULLI_MAX_N
-    if method == "exact" or (method == "auto" and exact_ok):
-        if not exact_ok:
-            raise CapacityError(f"exact scan needs n <= {EXACT_BERNOULLI_MAX_N}, got {n}")
-        est = exact_moment(a, Bernoulli(n, rate), p)
-    else:
-        est = mc_moment(a, Bernoulli(n, rate), p, trials, seed, index=index)
-    return est
+    if method == "auto":
+        method = "exact" if n <= EXACT_BERNOULLI_MAX_N else "mc"
+    return moment(a, Bernoulli(n, rate), p, method, trials, seed, index)
 
 
 def _scan_bounds(a, rate, p, gamma, method, trials, seed, index):
@@ -266,8 +235,8 @@ def _scan_bounds(a, rate, p, gamma, method, trials, seed, index):
         s3 = math.nan
     extrap = math.nan
     if n >= 3:
-        lam = gamma / (2.0 + 2.0 * gamma)
-        rho_ref = math.log(n) ** (-1.0 - 2.0 * gamma)
+        lam = bounds.extrapolation_exponent(gamma)
+        rho_ref = bounds.reference_rate(n, gamma)
         p_ok = p == int(p) and int(p) % 2 == 0 and p >= 2 * math.log(n)
         if (
             0.0 < rho_ref < 0.5
@@ -276,8 +245,8 @@ def _scan_bounds(a, rate, p, gamma, method, trials, seed, index):
             and spectral_norm(a) <= 1.0 + 1e-9
         ):
             ref = _estimate(a, rho_ref, p, method, trials, seed, index)
-            constant = 30.0 if np.array_equal(a.data, a.data.T) else 60.0
-            extrap = constant * (rate ** lam + rho_ref ** (-lam) * ref.value)
+            constant = bounds.extrapolation_constant(np.array_equal(a.data, a.data.T))
+            extrap = bounds.extrapolation_bound(constant, rate, rho_ref, lam, ref.value)
     return s3, extrap
 
 
@@ -377,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="write a named test-matrix ensemble")
     p_gen.add_argument("kind", help="|".join(sorted(set(_ENSEMBLE_ALIASES))))
     p_gen.add_argument("n", type=int)
-    p_gen.add_argument("--mu", type=float, default=None)
-    p_gen.add_argument("--gamma", type=float, default=1.0)
+    p_gen.add_argument("--mu", type=finite, default=None)
+    p_gen.add_argument("--gamma", type=finite, default=1.0)
     p_gen.add_argument("--seed", default="0")
     p_gen.add_argument("--index", type=int, default=0)
     p_gen.add_argument("--out", required=True)
@@ -389,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pave.add_argument("-m", type=int, required=True)
     p_pave.add_argument("--trials", type=int, default=1000)
     p_pave.add_argument("--seed", default="0")
-    p_pave.add_argument("--eps", type=float, default=None,
+    p_pave.add_argument("--eps", type=finite, default=None,
                         help="moment target; checks 3*eps and 6*eps thresholds")
     p_pave.add_argument("--out", required=True)
     p_pave.set_defaults(func=_cmd_pave)
@@ -404,9 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("input")
     p_scan.add_argument("--vary", choices=["rho", "delta", "p"], required=True)
     p_scan.add_argument("--grid", required=True, help="comma-separated values")
-    p_scan.add_argument("--p", type=float, default=4)
-    p_scan.add_argument("--rate", type=float, default=None)
-    p_scan.add_argument("--gamma", type=float, default=1.0)
+    p_scan.add_argument("--p", type=finite, default=4)
+    p_scan.add_argument("--rate", type=finite, default=None)
+    p_scan.add_argument("--gamma", type=finite, default=1.0)
     p_scan.add_argument("--trials", type=int, default=10000)
     p_scan.add_argument("--seed", default="0")
     p_scan.add_argument("--method", choices=["auto", "exact", "mc"], default="auto")
@@ -418,16 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         help="paving-size|step3|khintchine|haagerup|rudelson|mu|pipeline",
     )
-    p_bound.add_argument("--gamma", type=float, default=None)
-    p_bound.add_argument("--eps", type=float, default=None)
-    p_bound.add_argument("--mu", type=float, default=None)
-    p_bound.add_argument("--rho", type=float, default=None)
+    for flag in ("gamma", "eps", "mu", "rho", "p", "q", "col-norm", "spec-norm", "delta"):
+        p_bound.add_argument(f"--{flag}", type=finite, default=None)
     p_bound.add_argument("--n", type=int, default=None)
-    p_bound.add_argument("--p", type=float, default=None)
-    p_bound.add_argument("--q", type=float, default=None)
-    p_bound.add_argument("--col-norm", dest="col_norm", type=float, default=None)
-    p_bound.add_argument("--spec-norm", dest="spec_norm", type=float, default=None)
-    p_bound.add_argument("--delta", type=float, default=None)
     p_bound.add_argument("--m", type=int, default=None)
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -455,12 +417,12 @@ def main(argv=None) -> int:
         parser.set_defaults(**defaults)
         for action in parser._subparsers._group_actions[0].choices.values():
             known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            # string defaults go through each flag's type, as if typed
+            action.set_defaults(**{k: str(v) for k, v in defaults.items() if k in known})
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    config = RunConfig.from_args(args)
     try:
         return args.func(args)
     except CapacityError as exc:
@@ -470,7 +432,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc} (run {config.command})", file=sys.stderr)
+        print(f"error: {exc} (run {args.command})", file=sys.stderr)
         return EXIT_USAGE
 
 

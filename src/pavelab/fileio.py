@@ -91,11 +91,6 @@ def write_partition(part: Partition, path: str | os.PathLike) -> None:
         fh.write(partition_to_text(part))
 
 
-def read_partition(path: str | os.PathLike, n: int) -> Partition:
-    with open(path) as fh:
-        return partition_from_text(fh.read(), n)
-
-
 def read_config(path: str | os.PathLike) -> dict:
     """key=value lines; '#' starts a comment; values become int/float/str."""
     opts: dict = {}

@@ -4,6 +4,13 @@ Each case packages its hypotheses and an exact (full pattern enumeration) or
 Monte Carlo evaluation of both sides.  Exact verdicts use strict comparison
 with a 1e-12 slack; Monte Carlo verdicts only flag a violation when the gap
 exceeds three combined standard errors.
+
+Patterns, weights and moments come from the pattern layer in `moments`:
+restriction moments through its exact/Monte Carlo dispatch `moment`, and the
+cases with their own per-pattern quantity (RESTRICT_RV, COLNORM and the two
+Khintchine cases) through `exact_patterns`/`sampled_patterns` on the stream
+"ineq:<CASE>" and the reduction `moment_stats`.  Exact sign enumeration
+shares the layer's cap of EXACT_SIGNS_MAX_N = 14 terms.
 """
 from __future__ import annotations
 
@@ -14,23 +21,27 @@ from typing import Callable
 import numpy as np
 
 from .bounds import haagerup_constant, khintchine_constant, rudelson_bound, step3_bound
-from .errors import CapacityError, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 from .matrices import DenseMatrix, max_abs_entry, max_column_norm, spectral_norm
 from .moments import (
-    EXACT_BERNOULLI_MAX_N,
-    bernoulli_weights,
-    exact_moment,
-    mask_bits,
+    exact_patterns,
     masked_norms,
-    mc_moment,
-    power_mean,
-    weighted_moment_stats,
+    moment,
+    moment_stats,
+    sampled_patterns,
+    verdict,
 )
 from .polynomials import check_extrapolation
-from .sampling import Bernoulli, BernoulliPair, RademacherSigns, Seed, UniformK
+from .sampling import (
+    Bernoulli,
+    BernoulliPair,
+    ProjectorModel,
+    RademacherSigns,
+    Seed,
+    UniformK,
+)
 
 _SLACK = 1e-12
-_EXACT_SIGN_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -87,60 +98,19 @@ def format_report(rep: InequalityReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared pattern machinery.  Exact mode enumerates 2^n masks with Bernoulli
-# weights; mc mode samples masks from one seeded stream and dedupes them.
+# Per-pattern helpers
 # ---------------------------------------------------------------------------
 
-def _exact_masks(n: int, rate: float):
-    if n > EXACT_BERNOULLI_MAX_N:
-        raise CapacityError(f"exact enumeration needs 2^{n} patterns")
-    bits = mask_bits(n)
-    return bits, bernoulli_weights(bits, rate)
+def _patterns(model: ProjectorModel, case: str, method: str, trials: int, seed):
+    """(patterns, weights, trials) from the pattern layer; trials is 0 when exact.
 
-
-def _sampled_masks(n: int, rate: float, trials: int, rng: np.random.Generator):
-    draws = rng.random((trials, n)) < rate
-    pows = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    codes, counts = np.unique(draws.astype(np.uint64) @ pows, return_counts=True)
-    bits = ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(
-        np.float64
-    )
-    return bits, counts
-
-
-def _exact_signs(count: int):
-    if count > _EXACT_SIGN_MAX:
-        raise CapacityError(f"exact sign enumeration needs 2^{count} patterns")
-    signs = 2.0 * mask_bits(count) - 1.0
-    return signs, np.full(signs.shape[0], 1.0 / signs.shape[0])
-
-
-def _sampled_signs(count: int, trials: int, rng: np.random.Generator):
-    draws = rng.integers(0, 2, size=(trials, count)).astype(bool)
-    pows = np.uint64(1) << np.arange(count, dtype=np.uint64)
-    codes, counts = np.unique(draws.astype(np.uint64) @ pows, return_counts=True)
-    bits = ((codes[:, None] >> np.arange(count, dtype=np.uint64)) & np.uint64(1)).astype(
-        np.float64
-    )
-    return 2.0 * bits - 1.0, counts
-
-
-def _moment_of(values, weights, counts, trials, p):
-    """((E v^p)^(1/p), stderr); exact when trials == 0."""
-    if trials == 0:
-        return power_mean(values, weights, p), 0.0
-    return weighted_moment_stats(values, counts, trials, p)
-
-
-def _col_norms_selected(x: np.ndarray, col_bits: np.ndarray) -> np.ndarray:
-    """max Euclidean norm over the selected columns, per mask row."""
-    cn2 = np.sum(x * x, axis=0)
-    return np.sqrt(np.max(col_bits * cn2[None, :], axis=1))
-
-
-def _col_norms_row_masked(x: np.ndarray, row_bits: np.ndarray) -> np.ndarray:
-    """max column norm of the row-restricted matrix, per mask row."""
-    return np.sqrt(np.max(row_bits @ (x * x), axis=1))
+    Sampled patterns come from the case's own stream "ineq:<case>".
+    """
+    if method == "exact":
+        patterns, weights = exact_patterns(model)
+        return patterns, weights, 0
+    patterns, counts = sampled_patterns(model, seed.rng(f"ineq:{case}"), trials)
+    return patterns, counts, trials
 
 
 def _schatten_batch(stack: np.ndarray, p: float) -> np.ndarray:
@@ -169,14 +139,27 @@ def _square_matrix(inst: InequalityInstance, case: str) -> DenseMatrix:
 # Case definitions
 # ---------------------------------------------------------------------------
 
+def _matrix_dims(inst):
+    return inst.matrix.n_rows
+
+
 @dataclass(frozen=True)
 class InequalityCase:
     id: str
     description: str
     check: Callable[[InequalityInstance], None]
     evaluate: Callable[[InequalityInstance, str, int, Seed | None], tuple]
-    dims: Callable[[InequalityInstance], int]
     params: Callable[[InequalityInstance], tuple]
+    dims: Callable[[InequalityInstance], int] = _matrix_dims
+
+
+def _compare(a, left, right, factor, p, method, trials, seed):
+    """lhs = moment under `left` (stream 0) vs rhs = factor * moment under
+    `right` (stream 1)."""
+    est_l = moment(a, left, p, method, trials, seed, index=0)
+    est_r = moment(a, right, p, method, trials, seed, index=1)
+    se = math.hypot(est_l.stderr, factor * est_r.stderr)
+    return est_l.value, factor * est_r.value, se, ()
 
 
 def _check_model_equiv(inst):
@@ -189,16 +172,9 @@ def _check_model_equiv(inst):
 def _eval_model_equiv(inst, method, trials, seed):
     a, k, p = inst.matrix, inst.k, inst.p
     n = a.n_rows
-    rate = k / n
-    factor = 2.0 ** (1.0 / p)
-    if method == "exact":
-        lhs = exact_moment(a, UniformK(n, k), p).value
-        ref = exact_moment(a, Bernoulli(n, rate), p).value
-        return lhs, factor * ref, 0.0, ()
-    est_l = mc_moment(a, UniformK(n, k), p, trials, seed, index=0)
-    est_r = mc_moment(a, Bernoulli(n, rate), p, trials, seed, index=1)
-    se = math.hypot(est_l.stderr, factor * est_r.stderr)
-    return est_l.value, factor * est_r.value, se, ()
+    return _compare(
+        a, UniformK(n, k), Bernoulli(n, k / n), 2.0 ** (1.0 / p), p, method, trials, seed
+    )
 
 
 def _check_decoupling(inst):
@@ -212,63 +188,41 @@ def _check_decoupling(inst):
 def _eval_decoupling(inst, method, trials, seed):
     b, rate, p = inst.matrix, inst.rate, inst.p
     n = b.n_rows
-    if method == "exact":
-        lhs = exact_moment(b, Bernoulli(n, rate), p).value
-        pair = exact_moment(b, BernoulliPair(n, rate), p).value
-        return lhs, 20.0 * pair, 0.0, ()
-    est_l = mc_moment(b, Bernoulli(n, rate), p, trials, seed, index=0)
-    est_r = mc_moment(b, BernoulliPair(n, rate), p, trials, seed, index=1)
-    se = math.hypot(est_l.stderr, 20.0 * est_r.stderr)
-    return est_l.value, 20.0 * est_r.value, se, ()
+    return _compare(
+        b, Bernoulli(n, rate), BernoulliPair(n, rate), 20.0, p, method, trials, seed
+    )
 
 
-def _check_restrict_rv(inst):
-    x = _square_matrix(inst, "RESTRICT_RV")
-    n = x.n_rows
-    _need(2.0 * math.log(n) >= 2.0 if n else False, "RESTRICT_RV", "2 log n >= 2")
-    _need(inst.p >= 2.0 * math.log(n), "RESTRICT_RV", "p >= 2 log n")
-    _need(inst.rate is not None and 0.0 <= inst.rate <= 1.0, "RESTRICT_RV", "rate in [0, 1]")
+def _check_rate_and_log_p(inst, case: str, floor: float):
+    """Square matrix with 2 log n >= floor, p >= 2 log n and rate in [0, 1]."""
+    n = _square_matrix(inst, case).n_rows
+    _need(2.0 * math.log(n) >= floor if n else False, case, f"2 log n >= {floor:g}")
+    _need(inst.p >= 2.0 * math.log(n), case, "p >= 2 log n")
+    _need(inst.rate is not None and 0.0 <= inst.rate <= 1.0, case, "rate in [0, 1]")
 
 
 def _eval_restrict_rv(inst, method, trials, seed):
     x, rate, p = inst.matrix.data, inst.rate, inst.p
-    n = x.shape[0]
-    if method == "exact":
-        bits, weights = _exact_masks(n, rate)
-        counts = None
-    else:
-        bits, counts = _sampled_masks(n, rate, trials, seed.rng("ineq:RESTRICT_RV"))
-        weights = None
+    (bits,), weights, t = _patterns(
+        Bernoulli(x.shape[0], rate), "RESTRICT_RV", method, trials, seed
+    )
     spec_vals = masked_norms(x, np.ones_like(bits), bits)
-    col_vals = _col_norms_selected(x, bits)
-    t = 0 if method == "exact" else trials
-    lhs, se_l = _moment_of(spec_vals, weights, counts, t, p)
-    colm, se_c = _moment_of(col_vals, weights, counts, t, p)
+    # largest Euclidean norm over the selected columns, per pattern
+    col_vals = np.sqrt(np.max(bits * np.sum(x * x, axis=0)[None, :], axis=1))
+    lhs, se_l = moment_stats(spec_vals, weights, t, p)
+    colm, se_c = moment_stats(col_vals, weights, t, p)
     factor = 3.0 * math.sqrt(p)
     rhs = factor * colm + math.sqrt(rate) * spectral_norm(inst.matrix)
     return lhs, rhs, math.hypot(se_l, factor * se_c), ()
 
 
-def _check_colnorm(inst):
-    x = _square_matrix(inst, "COLNORM")
-    n = x.n_rows
-    _need(2.0 * math.log(n) >= 4.0 if n else False, "COLNORM", "2 log n >= 4")
-    _need(inst.p >= 2.0 * math.log(n), "COLNORM", "p >= 2 log n")
-    _need(inst.rate is not None and 0.0 <= inst.rate <= 1.0, "COLNORM", "rate in [0, 1]")
-
-
 def _eval_colnorm(inst, method, trials, seed):
     x, rate, p = inst.matrix.data, inst.rate, inst.p
-    n = x.shape[0]
-    if method == "exact":
-        bits, weights = _exact_masks(n, rate)
-        counts = None
-    else:
-        bits, counts = _sampled_masks(n, rate, trials, seed.rng("ineq:COLNORM"))
-        weights = None
-    vals = _col_norms_row_masked(x, bits)
-    t = 0 if method == "exact" else trials
-    lhs, se = _moment_of(vals, weights, counts, t, p)
+    (bits,), weights, t = _patterns(
+        Bernoulli(x.shape[0], rate), "COLNORM", method, trials, seed
+    )
+    # largest column norm of the row-restricted matrix, per pattern
+    lhs, se = moment_stats(np.sqrt(np.max(bits @ (x * x), axis=1)), weights, t, p)
     tail = math.sqrt(rate) * max_column_norm(inst.matrix)
     rhs = 3.0 * math.sqrt(p) * max_abs_entry(inst.matrix) + tail
     rhs_proof = 2.0 ** 1.5 * math.sqrt(p) * max_abs_entry(inst.matrix) + tail
@@ -289,14 +243,9 @@ def _check_rudelson(inst):
 
 def _eval_rudelson(inst, method, trials, seed):
     x, p = inst.matrix, inst.p
-    model = RademacherSigns(x.n_cols)
-    if method == "exact":
-        lhs, se = exact_moment(x, model, p).value, 0.0
-    else:
-        est = mc_moment(x, model, p, trials, seed, index=0)
-        lhs, se = est.value, est.stderr
+    est = moment(x, RademacherSigns(x.n_cols), p, method, trials, seed)
     rhs = rudelson_bound(p, max_column_norm(x), spectral_norm(x))
-    return lhs, rhs, se, ()
+    return est.value, rhs, est.stderr, ()
 
 
 def _check_nc_khintchine(inst):
@@ -308,17 +257,12 @@ def _check_nc_khintchine(inst):
 
 def _eval_nc_khintchine(inst, method, trials, seed):
     mats = np.stack([m.data for m in inst.matrices])
-    count, p = mats.shape[0], inst.p
-    if method == "exact":
-        signs, weights = _exact_signs(count)
-        counts = None
-    else:
-        signs, counts = _sampled_signs(count, trials, seed.rng("ineq:NC_KHINTCHINE"))
-        weights = None
+    p = inst.p
+    (signs,), weights, t = _patterns(
+        RademacherSigns(mats.shape[0]), "NC_KHINTCHINE", method, trials, seed
+    )
     sums = np.einsum("sj,jrc->src", signs, mats)
-    vals = _schatten_batch(sums, p)
-    t = 0 if method == "exact" else trials
-    lhs, se = _moment_of(vals, weights, counts, t, p)
+    lhs, se = moment_stats(_schatten_batch(sums, p), weights, t, p)
     gram_left = np.einsum("jrc,jsc->rs", mats, mats)
     gram_right = np.einsum("jrc,jrs->cs", mats, mats)
     sides = []
@@ -340,15 +284,10 @@ def _check_scalar_khintchine(inst):
 def _eval_scalar_khintchine(inst, method, trials, seed):
     a = np.asarray(inst.vector, dtype=float)
     q = inst.p
-    if method == "exact":
-        signs, weights = _exact_signs(a.size)
-        counts = None
-    else:
-        signs, counts = _sampled_signs(a.size, trials, seed.rng("ineq:SCALAR_KHINTCHINE"))
-        weights = None
-    vals = np.abs(signs @ a)
-    t = 0 if method == "exact" else trials
-    lhs, se = _moment_of(vals, weights, counts, t, q)
+    (signs,), weights, t = _patterns(
+        RademacherSigns(a.size), "SCALAR_KHINTCHINE", method, trials, seed
+    )
+    lhs, se = moment_stats(np.abs(signs @ a), weights, t, q)
     rhs = haagerup_constant(q) * float(np.sqrt(np.sum(a * a)))
     return lhs, rhs, se, ()
 
@@ -372,12 +311,8 @@ def _check_step3(inst):
 def _eval_step3(inst, method, trials, seed):
     a, rate, p = inst.matrix, inst.rate, inst.p
     n = a.n_rows
-    if method == "exact":
-        lhs, se = exact_moment(a, Bernoulli(n, rate), p).value, 0.0
-    else:
-        est = mc_moment(a, Bernoulli(n, rate), p, trials, seed, index=0)
-        lhs, se = est.value, est.stderr
-    return lhs, step3_bound(inst.mu, rate, n), se, ()
+    est = moment(a, Bernoulli(n, rate), p, method, trials, seed)
+    return est.value, step3_bound(inst.mu, rate, n), est.stderr, ()
 
 
 def _check_extrap(inst):
@@ -402,97 +337,73 @@ def _eval_extrap(inst, method, trials, seed):
     return rep.lhs, rep.rhs, rep.stderr, (("constant", rep.constant),)
 
 
-def _matrix_dims(inst):
-    return inst.matrix.n_rows
-
-
-CASES: dict[str, InequalityCase] = {}
-
-
-def _register(case: InequalityCase) -> None:
-    CASES[case.id] = case
-
-
-_register(InequalityCase(
-    id="MODEL_EQUIV",
-    description="uniform-k restriction moment vs doubled independent-rate moment",
-    check=_check_model_equiv,
-    evaluate=_eval_model_equiv,
-    dims=_matrix_dims,
-    params=lambda i: (("k", float(i.k)), ("rate", i.k / i.matrix.n_rows)),
-))
-
-_register(InequalityCase(
-    id="DECOUPLING",
-    description="one-projector restriction moment vs 20x decoupled pair moment",
-    check=_check_decoupling,
-    evaluate=_eval_decoupling,
-    dims=_matrix_dims,
-    params=lambda i: (("rate", i.rate),),
-))
-
-_register(InequalityCase(
-    id="RESTRICT_RV",
-    description="column-restriction spectral moment vs column-norm term plus sqrt(rate) tail",
-    check=_check_restrict_rv,
-    evaluate=_eval_restrict_rv,
-    dims=_matrix_dims,
-    params=lambda i: (("rate", i.rate),),
-))
-
-_register(InequalityCase(
-    id="COLNORM",
-    description="row-restriction max-column-norm moment vs entry and column bounds",
-    check=_check_colnorm,
-    evaluate=_eval_colnorm,
-    dims=_matrix_dims,
-    params=lambda i: (("rate", i.rate),),
-))
-
-_register(InequalityCase(
-    id="RUDELSON",
-    description="Rademacher column outer-product sum vs 1.5 sqrt(p) norm product",
-    check=_check_rudelson,
-    evaluate=_eval_rudelson,
-    dims=_matrix_dims,
-    params=lambda i: (),
-))
-
-_register(InequalityCase(
-    id="NC_KHINTCHINE",
-    description="matrix Rademacher sum Schatten moment vs square-function bound",
-    check=_check_nc_khintchine,
-    evaluate=_eval_nc_khintchine,
-    dims=lambda i: i.matrices[0].n_rows,
-    params=lambda i: (("count", float(len(i.matrices))),),
-))
-
-_register(InequalityCase(
-    id="SCALAR_KHINTCHINE",
-    description="scalar Rademacher sum moment vs Euclidean norm bound",
-    check=_check_scalar_khintchine,
-    evaluate=_eval_scalar_khintchine,
-    dims=lambda i: len(i.vector),
-    params=lambda i: (),
-))
-
-_register(InequalityCase(
-    id="STEP3",
-    description="restricted moment of a unit-norm bounded matrix vs closed-form bound",
-    check=_check_step3,
-    evaluate=_eval_step3,
-    dims=_matrix_dims,
-    params=lambda i: (("mu", i.mu), ("rate", i.rate)),
-))
-
-_register(InequalityCase(
-    id="EXTRAP",
-    description="constant-rate moment vs extrapolation from a small rate",
-    check=_check_extrap,
-    evaluate=_eval_extrap,
-    dims=_matrix_dims,
-    params=lambda i: (("delta", i.delta), ("rho", i.rho), ("lambda", i.lam)),
-))
+CASES: dict[str, InequalityCase] = {case.id: case for case in (
+    InequalityCase(
+        id="MODEL_EQUIV",
+        description="uniform-k restriction moment vs doubled independent-rate moment",
+        check=_check_model_equiv,
+        evaluate=_eval_model_equiv,
+        params=lambda i: (("k", float(i.k)), ("rate", i.k / i.matrix.n_rows)),
+    ),
+    InequalityCase(
+        id="DECOUPLING",
+        description="one-projector restriction moment vs 20x decoupled pair moment",
+        check=_check_decoupling,
+        evaluate=_eval_decoupling,
+        params=lambda i: (("rate", i.rate),),
+    ),
+    InequalityCase(
+        id="RESTRICT_RV",
+        description="column-restriction spectral moment vs column-norm term plus sqrt(rate) tail",
+        check=lambda i: _check_rate_and_log_p(i, "RESTRICT_RV", 2.0),
+        evaluate=_eval_restrict_rv,
+        params=lambda i: (("rate", i.rate),),
+    ),
+    InequalityCase(
+        id="COLNORM",
+        description="row-restriction max-column-norm moment vs entry and column bounds",
+        check=lambda i: _check_rate_and_log_p(i, "COLNORM", 4.0),
+        evaluate=_eval_colnorm,
+        params=lambda i: (("rate", i.rate),),
+    ),
+    InequalityCase(
+        id="RUDELSON",
+        description="Rademacher column outer-product sum vs 1.5 sqrt(p) norm product",
+        check=_check_rudelson,
+        evaluate=_eval_rudelson,
+        params=lambda i: (),
+    ),
+    InequalityCase(
+        id="NC_KHINTCHINE",
+        description="matrix Rademacher sum Schatten moment vs square-function bound",
+        check=_check_nc_khintchine,
+        evaluate=_eval_nc_khintchine,
+        dims=lambda i: i.matrices[0].n_rows,
+        params=lambda i: (("count", float(len(i.matrices))),),
+    ),
+    InequalityCase(
+        id="SCALAR_KHINTCHINE",
+        description="scalar Rademacher sum moment vs Euclidean norm bound",
+        check=_check_scalar_khintchine,
+        evaluate=_eval_scalar_khintchine,
+        dims=lambda i: len(i.vector),
+        params=lambda i: (),
+    ),
+    InequalityCase(
+        id="STEP3",
+        description="restricted moment of a unit-norm bounded matrix vs closed-form bound",
+        check=_check_step3,
+        evaluate=_eval_step3,
+        params=lambda i: (("mu", i.mu), ("rate", i.rate)),
+    ),
+    InequalityCase(
+        id="EXTRAP",
+        description="constant-rate moment vs extrapolation from a small rate",
+        check=_check_extrap,
+        evaluate=_eval_extrap,
+        params=lambda i: (("delta", i.delta), ("rho", i.rho), ("lambda", i.lam)),
+    ),
+)}
 
 CASE_IDS = tuple(CASES)
 
@@ -517,12 +428,7 @@ def verify_inequality(
     case = CASES[case_id]
     case.check(instance)
     lhs, rhs, se, notes = case.evaluate(instance, method, trials, seed)
-    if method == "exact":
-        holds = lhs <= rhs + _SLACK * max(1.0, abs(rhs))
-        trials = 0
-    else:
-        holds = (lhs - rhs) <= 3.0 * se
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+    holds, ratio = verdict(lhs, rhs, se, method == "exact")
     return InequalityReport(
         case=case_id,
         n=case.dims(instance),
@@ -530,10 +436,10 @@ def verify_inequality(
         params=case.params(instance),
         lhs=float(lhs),
         rhs=float(rhs),
-        ratio=float(ratio),
+        ratio=ratio,
         method=method,
-        trials=trials,
+        trials=0 if method == "exact" else trials,
         seed=None if seed is None else seed.master,
-        holds=bool(holds),
+        holds=holds,
         notes=notes,
     )

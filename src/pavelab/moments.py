@@ -1,13 +1,16 @@
-"""Exact and Monte Carlo moments of restricted-matrix norms.
+"""The pattern layer: exact and Monte Carlo moments of restricted-matrix norms.
 
-The exact path enumerates the full pattern space of a projector model
-(coordinate masks, mask pairs, or sign vectors) with probability weights
-computed in log-space; the Monte Carlo path samples patterns from one seeded
-stream per call, dedupes them at small dimension, and reports a delta-method
-standard error for the 1/p power of the sample mean.
+Every moment of the paving argument is E f(pattern)^p under one projector
+law, and is formed here for every caller (inequality registry, polynomial
+checks, CLI): `exact_patterns` enumerates a law's pattern space with
+log-space weights and holds the capacity caps (sign enumeration: at most
+EXACT_SIGNS_MAX_N = 14 terms); `sampled_patterns` dedupes the draws of
+`sampling.draw_patterns` at n <= 20; `pattern_norms` is the per-model norm,
+`moment_stats` the one reduction (weighted power mean, or sample mean with a
+delta-method standard error) and `moment` the one exact/Monte Carlo dispatch.
 
-Patterns are ordered by a binary counter on coordinate masks (or by first
-occurrence for sampled draws), and all reductions run in that fixed order, so
+Patterns are ordered by a binary counter on coordinate masks (or by packed
+code for deduped draws), and all reductions run in that fixed order, so
 results are bitwise reproducible.
 
 Cost model: a restricted norm ||A_{sigma,tau}|| is the largest singular value
@@ -32,6 +35,7 @@ from .sampling import (
     RademacherSigns,
     Seed,
     UniformK,
+    draw_patterns,
 )
 
 _BATCH = 8192
@@ -64,7 +68,7 @@ class MomentEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Pattern-space building blocks (shared with the inequality registry)
+# Pattern-space building blocks
 # ---------------------------------------------------------------------------
 
 def mask_bits(n: int) -> np.ndarray:
@@ -148,16 +152,6 @@ def sign_sum_norms(a: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return out
 
 
-def power_mean(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """(sum_i w_i v_i^p)^(1/p), scaled by max(v) for stability."""
-    if values.size == 0:
-        return 0.0
-    vmax = float(values.max())
-    if vmax == 0.0:
-        return 0.0
-    return vmax * float(np.sum(weights * (values / vmax) ** p)) ** (1.0 / p)
-
-
 def weighted_moment_stats(
     values: np.ndarray, counts: np.ndarray, trials: int, p: float
 ) -> tuple[float, float]:
@@ -183,55 +177,127 @@ def weighted_moment_stats(
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration
+# Pattern spaces, norms and the reduction
 # ---------------------------------------------------------------------------
 
-def _require_square(a: DenseMatrix, what: str) -> None:
-    if not a.is_square:
-        raise ParameterError(f"{what} needs a square matrix, got {a.n_rows}x{a.n_cols}")
+def exact_patterns(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
+    """(patterns, weights) over the model's full pattern space.
 
-
-def _check_model_dim(a: DenseMatrix, model: ProjectorModel) -> None:
-    want = a.n_cols if isinstance(model, RademacherSigns) else a.n_rows
-    if model.n != want:
-        raise ParameterError(f"model dimension {model.n} does not match matrix")
-
-
-def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
-    """(values, weights) over the model's full pattern space."""
-    _check_model_dim(a, model)
+    `patterns` is (masks,) of 0/1 rows, (row_masks, col_masks) for
+    BernoulliPair, or (signs,) of +-1 rows for RademacherSigns; weights sum
+    to one.  Raises CapacityError past the enumeration caps.
+    """
     n = model.n
     if isinstance(model, Bernoulli):
-        _require_square(a, "two-sided restriction")
         if n > EXACT_BERNOULLI_MAX_N:
             raise CapacityError(f"exact Bernoulli enumeration needs 2^{n} patterns")
         bits = mask_bits(n)
-        return masked_norms(a.data, bits, bits), bernoulli_weights(bits, model.rate)
+        return (bits,), bernoulli_weights(bits, model.rate)
     if isinstance(model, UniformK):
-        _require_square(a, "two-sided restriction")
         count = math.comb(n, model.k)
         if count > EXACT_UNIFORMK_MAX_PATTERNS:
             raise CapacityError(f"exact uniform-k enumeration needs {count} patterns")
-        bits = subset_bits(n, model.k)
-        weights = np.full(count, 1.0 / count)
-        return masked_norms(a.data, bits, bits), weights
+        return (subset_bits(n, model.k),), np.full(count, 1.0 / count)
     if isinstance(model, BernoulliPair):
-        _require_square(a, "two-sided restriction")
         if n > EXACT_PAIR_MAX_N:
             raise CapacityError(f"exact pair enumeration needs 4^{n} patterns")
         bits = mask_bits(n)
         w1 = bernoulli_weights(bits, model.rate)
         reps = np.repeat(np.arange(1 << n), 1 << n)
         tile = np.tile(np.arange(1 << n), 1 << n)
-        values = masked_norms(a.data, bits[reps], bits[tile])
-        return values, (w1[reps] * w1[tile])
+        return (bits[reps], bits[tile]), w1[reps] * w1[tile]
     if isinstance(model, RademacherSigns):
         if n > EXACT_SIGNS_MAX_N:
             raise CapacityError(f"exact sign enumeration needs 2^{n} patterns")
-        signs = 2.0 * mask_bits(n) - 1.0
-        weights = np.full(1 << n, 1.0 / (1 << n))
-        return sign_sum_norms(a.data, signs), weights
+        return (2.0 * mask_bits(n) - 1.0,), np.full(1 << n, 1.0 / (1 << n))
     raise ParameterError(f"unknown model {model!r}")
+
+
+def sampled_patterns(
+    model: ProjectorModel, rng: np.random.Generator, trials: int
+) -> tuple[tuple, np.ndarray]:
+    """(patterns, counts) for `trials` draws of the model's law from `rng`.
+
+    Patterns are laid out as in `exact_patterns`.  At n <= 20 the draws are
+    deduped into distinct patterns in packed-code order with their
+    multiplicities; above that each draw is its own pattern with count one.
+    Counts sum to `trials`.
+    """
+    n = model.n
+    masks = draw_patterns(model, rng, trials)
+    if n > 20:
+        counts = np.ones(trials)
+    else:
+        # pack each draw into one code, the last mask in the low bits (a
+        # pair's code is row code << n | column code), dedupe, and unpack
+        joined = np.hstack(masks[::-1])
+        place = np.arange(joined.shape[1], dtype=np.uint64)
+        codes = joined.astype(np.uint64) @ (np.uint64(1) << place)
+        uniq, counts = np.unique(codes, return_counts=True)
+        bits = ((uniq[:, None] >> place) & np.uint64(1)).astype(np.float64)
+        masks = tuple(bits[:, j * n:(j + 1) * n] for j in reversed(range(len(masks))))
+    if isinstance(model, RademacherSigns):
+        masks = (2.0 * masks[0] - 1.0,)
+    return masks, counts
+
+
+def pattern_norms(a: np.ndarray, model: ProjectorModel, patterns: tuple) -> np.ndarray:
+    """The model's norm per pattern: ||P_sigma A P_tau||, or for
+    RademacherSigns the norm of the signed column outer-product sum."""
+    if isinstance(model, RademacherSigns):
+        return sign_sum_norms(a, patterns[0])
+    return masked_norms(a, patterns[0], patterns[-1])
+
+
+def moment_stats(
+    values: np.ndarray, weights: np.ndarray, trials: int, p: float
+) -> tuple[float, float]:
+    """((E v^p)^(1/p), stderr) over patterns, scaled by max(v) for stability.
+
+    trials == 0 means `weights` are exact probabilities (stderr 0); otherwise
+    they are sample multiplicities summing to `trials`.
+    """
+    if trials:
+        return weighted_moment_stats(values, weights, trials, p)
+    vmax = float(values.max()) if values.size else 0.0
+    if vmax == 0.0:
+        return 0.0, 0.0
+    return vmax * float(np.sum(weights * (values / vmax) ** p)) ** (1.0 / p), 0.0
+
+
+def verdict(lhs: float, rhs: float, se: float, exact: bool) -> tuple[bool, float]:
+    """(holds, lhs / rhs) for a moment inequality lhs <= rhs.
+
+    Exact sides compare strictly up to a 1e-12 relative slack; Monte Carlo
+    sides only fail when the gap exceeds three combined standard errors.
+    """
+    if exact:
+        holds = lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+    else:
+        holds = (lhs - rhs) <= 3.0 * se
+    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+    return bool(holds), float(ratio)
+
+
+# ---------------------------------------------------------------------------
+# Exact enumeration and Monte Carlo
+# ---------------------------------------------------------------------------
+
+def _check_model_dim(a: DenseMatrix, model: ProjectorModel) -> None:
+    signs = isinstance(model, RademacherSigns)
+    if model.n != (a.n_cols if signs else a.n_rows):
+        raise ParameterError(f"model dimension {model.n} does not match matrix")
+    if not signs and not a.is_square:
+        raise ParameterError(
+            f"two-sided restriction needs a square matrix, got {a.n_rows}x{a.n_cols}"
+        )
+
+
+def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
+    """(values, weights) over the model's full pattern space."""
+    _check_model_dim(a, model)
+    patterns, weights = exact_patterns(model)
+    return pattern_norms(a.data, model, patterns), weights
 
 
 def exact_moment(a: DenseMatrix, model: ProjectorModel, p: float) -> MomentEstimate:
@@ -244,68 +310,9 @@ def exact_moment(a: DenseMatrix, model: ProjectorModel, p: float) -> MomentEstim
         raise ParameterError(f"p must be positive, got {p}")
     values, weights = exact_pattern_values(a, model)
     return MomentEstimate(
-        value=power_mean(values, weights, p),
+        value=moment_stats(values, weights, 0, p)[0],
         p=p, trials=0, stderr=0.0, seed=None, model=model,
     )
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-# ---------------------------------------------------------------------------
-
-def _pack_codes(mask_bool: np.ndarray) -> np.ndarray:
-    n = mask_bool.shape[1]
-    pows = (np.uint64(1) << np.arange(n, dtype=np.uint64))
-    return mask_bool.astype(np.uint64) @ pows
-
-
-def _unpack_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(
-        np.float64
-    )
-
-
-def _draw_masks(model: ProjectorModel, rng: np.random.Generator, trials: int):
-    n = model.n
-    if isinstance(model, Bernoulli):
-        return (rng.random((trials, n)) < model.rate,)
-    if isinstance(model, BernoulliPair):
-        rows = rng.random((trials, n)) < model.rate
-        cols = rng.random((trials, n)) < model.rate
-        return rows, cols
-    if isinstance(model, UniformK):
-        mask = np.zeros((trials, n), dtype=bool)
-        if model.k > 0:
-            keys = rng.random((trials, n))
-            picks = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
-            mask[np.repeat(np.arange(trials), model.k), picks.ravel()] = True
-        return (mask,)
-    if isinstance(model, RademacherSigns):
-        return (rng.integers(0, 2, size=(trials, n)).astype(bool),)
-    raise ParameterError(f"unknown model {model!r}")
-
-
-def _mc_values(a: DenseMatrix, model: ProjectorModel, masks) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct pattern values and multiplicities for the drawn masks."""
-    n = model.n
-    dedupe = n <= 20
-    if isinstance(model, BernoulliPair):
-        if dedupe:
-            codes = (_pack_codes(masks[0]) << np.uint64(n)) | _pack_codes(masks[1])
-            uniq, counts = np.unique(codes, return_counts=True)
-            rb = _unpack_codes(uniq >> np.uint64(n), n)
-            cb = _unpack_codes(uniq & np.uint64((1 << n) - 1), n)
-            return masked_norms(a.data, rb, cb), counts
-        return masked_norms(a.data, masks[0], masks[1]), np.ones(masks[0].shape[0])
-    mask = masks[0]
-    if dedupe:
-        uniq, counts = np.unique(_pack_codes(mask), return_counts=True)
-        bits = _unpack_codes(uniq, n)
-    else:
-        bits, counts = mask, np.ones(mask.shape[0])
-    if isinstance(model, RademacherSigns):
-        return sign_sum_norms(a.data, 2.0 * bits - 1.0), counts
-    return masked_norms(a.data, bits, bits), counts
 
 
 def mc_moment(
@@ -322,11 +329,27 @@ def mc_moment(
     if trials < 2:
         raise ParameterError(f"need trials >= 2, got {trials}")
     _check_model_dim(a, model)
-    if not isinstance(model, RademacherSigns):
-        _require_square(a, "two-sided restriction")
-    masks = _draw_masks(model, seed.rng("mc_moment", index), trials)
-    values, counts = _mc_values(a, model, masks)
-    est, se = weighted_moment_stats(values, counts, trials, p)
+    patterns, counts = sampled_patterns(model, seed.rng("mc_moment", index), trials)
+    est, se = moment_stats(pattern_norms(a.data, model, patterns), counts, trials, p)
     return MomentEstimate(
         value=est, p=p, trials=trials, stderr=se, seed=seed, model=model
     )
+
+
+def moment(
+    a: DenseMatrix,
+    model: ProjectorModel,
+    p: float,
+    method: str,
+    trials: int = 0,
+    seed: Seed | None = None,
+    index: int = 0,
+) -> MomentEstimate:
+    """`exact_moment` for method 'exact', `mc_moment` on stream `index` for 'mc'."""
+    if method == "exact":
+        return exact_moment(a, model, p)
+    if method != "mc":
+        raise ParameterError(f"method must be 'exact' or 'mc', got {method!r}")
+    if seed is None:
+        raise ParameterError("mc method needs a seed")
+    return mc_moment(a, model, p, trials, seed, index)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapacityError, ParameterError
 from .matrices import DenseMatrix, Partition, paving_quality, spectral_norm
 from .moments import masked_norms
-from .sampling import Seed
+from .sampling import Seed, permutation_draws
 
 EXHAUSTIVE_BALANCED_MAX_N = 12
 EXHAUSTIVE_GENERAL_MAX_N = 10
@@ -68,10 +68,8 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
     if trials < 1:
         raise ParameterError("need at least one trial")
     k = n // m
-    # row r of the argsort is a uniform permutation; consecutive k-slices are
-    # its blocks.  Row-major generation keeps trial draws prefix-stable.
-    keys = seed.rng("random_pave").random((trials, n))
-    perms = np.argsort(keys, axis=1)
+    # consecutive k-slices of each permutation are its blocks
+    perms = permutation_draws(seed.rng("random_pave"), trials, n)
     block_of = np.repeat(np.arange(trials * m), k)
     masks = np.zeros((trials * m, n), dtype=bool)
     masks[block_of, perms.reshape(-1)] = True

@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import extrapolation_bound, extrapolation_constant
 from .errors import CapacityError, ParameterError, PavelabError, PreconditionError
 from .matrices import DenseMatrix, max_abs_entry, spectral_norm
 from .moments import (
     bernoulli_weights,
-    exact_moment,
+    exact_pattern_values,
     mask_bits,
     masked_norms,
-    mc_moment,
+    moment,
+    verdict,
 )
 from .sampling import Bernoulli, Seed
 
@@ -99,17 +101,7 @@ def subset_traces_and_norms(x: DenseMatrix, p: int):
     bits = mask_bits(n)
     norms = masked_norms(x.data, bits, bits)
     stack = x.data[None, :, :] * bits[:, :, None] * bits[:, None, :]
-    # square-and-multiply on the whole stack
-    result = None
-    base = stack
-    e = p
-    while e:
-        if e & 1:
-            result = base if result is None else result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    traces = np.einsum("bii->b", result)
+    traces = np.einsum("bii->b", np.linalg.matrix_power(stack, p))
     return bits, traces, norms
 
 
@@ -124,9 +116,8 @@ def restricted_norm_moment_pth(x: DenseMatrix, p: int, s: float) -> float:
     n = x.n_rows
     if n > TRACE_POLY_MAX_N:
         raise CapacityError(f"norm enumeration needs 2^{n} patterns")
-    bits = mask_bits(n)
-    norms = masked_norms(x.data, bits, bits)
-    return float(np.sum(bernoulli_weights(bits, s) * norms ** p))
+    norms, weights = exact_pattern_values(x, Bernoulli(n, s))
+    return float(np.sum(weights * norms ** p))
 
 
 def _chebyshev_nodes_unit(count: int) -> np.ndarray:
@@ -286,29 +277,15 @@ def check_extrapolation(
     if not 0.0 < lam < 1.0:
         raise PreconditionError(f"extrapolation: lambda must be in (0, 1), got {lam}")
     p = _check_even_p(p, n, "extrapolation")
-    constant = 30.0 if _is_symmetric(x) else 60.0
-    if method == "exact":
-        lhs = exact_moment(x, Bernoulli(n, delta), p).value
-        ref = exact_moment(x, Bernoulli(n, rho), p).value
-        se = 0.0
-        trials = 0
-    elif method == "mc":
-        if seed is None:
-            raise ParameterError("mc method needs a seed")
-        est_l = mc_moment(x, Bernoulli(n, delta), p, trials, seed, index=0)
-        est_r = mc_moment(x, Bernoulli(n, rho), p, trials, seed, index=1)
-        lhs, ref = est_l.value, est_r.value
-        se = math.hypot(est_l.stderr, constant * rho ** (-lam) * est_r.stderr)
-    else:
-        raise ParameterError(f"method must be 'exact' or 'mc', got {method!r}")
-    rhs = constant * (delta ** lam + rho ** (-lam) * ref)
-    if method == "exact":
-        holds = lhs <= rhs + _SLACK * max(1.0, rhs)
-    else:
-        holds = lhs - rhs <= 3.0 * se
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
+    constant = extrapolation_constant(_is_symmetric(x))
+    est_l = moment(x, Bernoulli(n, delta), p, method, trials, seed, index=0)
+    est_r = moment(x, Bernoulli(n, rho), p, method, trials, seed, index=1)
+    lhs, trials = est_l.value, est_l.trials
+    se = math.hypot(est_l.stderr, constant * rho ** (-lam) * est_r.stderr)
+    rhs = extrapolation_bound(constant, delta, rho, lam, est_r.value)
+    holds, ratio = verdict(lhs, rhs, se, method == "exact")
     return ExtrapolationReport(
         lhs=lhs, rhs=rhs, ratio=ratio, constant=constant,
         delta=delta, rho=rho, lam=lam, p=p,
-        method=method, trials=trials, stderr=se, holds=bool(holds),
+        method=method, trials=trials, stderr=se, holds=holds,
     )

@@ -2,6 +2,9 @@
 
 Every draw is a pure function of (master seed, stream label, index), so
 trials can be generated in any order, or in parallel, and reproduce bitwise.
+Each projector law has one batched sampler (`draw_patterns`, and
+`permutation_draws` for permutation partitions); single draws are batches
+of one.
 """
 from __future__ import annotations
 
@@ -100,38 +103,50 @@ def _model_label(model: ProjectorModel) -> str:
     return f"subset:{type(model).__name__}"
 
 
-def _uniform_k_indices(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    # partial Fisher-Yates: exact uniform k-subset in O(n)
-    idx = np.arange(n)
-    for i in range(k):
-        j = int(rng.integers(i, n))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+def draw_patterns(model: ProjectorModel, rng: np.random.Generator, trials: int) -> tuple:
+    """`trials` draws from the model's law, one bool mask row per draw.
+
+    Returns (masks,) for UniformK, Bernoulli and RademacherSigns (True is a
+    +1 sign) and (row_masks, col_masks) for BernoulliPair.
+    """
+    n = model.n
+    if isinstance(model, Bernoulli):
+        return (rng.random((trials, n)) < model.rate,)
+    if isinstance(model, BernoulliPair):
+        rows = rng.random((trials, n)) < model.rate
+        cols = rng.random((trials, n)) < model.rate
+        return rows, cols
+    if isinstance(model, UniformK):
+        mask = np.zeros((trials, n), dtype=bool)
+        if model.k > 0:
+            keys = rng.random((trials, n))
+            picks = np.argpartition(keys, model.k - 1, axis=1)[:, : model.k]
+            mask[np.repeat(np.arange(trials), model.k), picks.ravel()] = True
+        return (mask,)
+    if isinstance(model, RademacherSigns):
+        return (rng.integers(0, 2, size=(trials, n)).astype(bool),)
+    raise ParameterError(f"unknown model {model!r}")
+
+
+def permutation_draws(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+    """`trials` uniform permutations of range(n), one per row.
+
+    Row-major key generation keeps the draws prefix-stable in `trials`.
+    """
+    return np.argsort(rng.random((trials, n)), axis=1)
 
 
 def sample_subset(model: ProjectorModel, seed: Seed, index: int = 0):
-    """One draw from the model's law.
+    """One draw from the model's law: row 0 of a `draw_patterns` batch of one.
 
     UniformK/Bernoulli return a CoordinateSet, BernoulliPair a pair of them,
     RademacherSigns an array of +-1 ints.
     """
-    rng = seed.rng(_model_label(model), index)
-    n = model.n
-    if isinstance(model, UniformK):
-        return CoordinateSet.from_iterable(n, _uniform_k_indices(rng, n, model.k))
-    if isinstance(model, Bernoulli):
-        keep = rng.random(n) < model.rate
-        return CoordinateSet.from_iterable(n, np.flatnonzero(keep))
-    if isinstance(model, BernoulliPair):
-        keep_rows = rng.random(n) < model.rate
-        keep_cols = rng.random(n) < model.rate
-        return (
-            CoordinateSet.from_iterable(n, np.flatnonzero(keep_rows)),
-            CoordinateSet.from_iterable(n, np.flatnonzero(keep_cols)),
-        )
+    masks = [m[0] for m in draw_patterns(model, seed.rng(_model_label(model), index), 1)]
     if isinstance(model, RademacherSigns):
-        return 2 * rng.integers(0, 2, size=n) - 1
-    raise ParameterError(f"unknown model {model!r}")
+        return 2 * masks[0].astype(np.int64) - 1
+    sets = tuple(CoordinateSet.from_iterable(model.n, np.flatnonzero(m)) for m in masks)
+    return sets if isinstance(model, BernoulliPair) else sets[0]
 
 
 def sample_permutation_partition(n: int, m: int, seed: Seed, index: int = 0) -> Partition:
@@ -139,7 +154,7 @@ def sample_permutation_partition(n: int, m: int, seed: Seed, index: int = 0) -> 
     if m <= 0 or n % m != 0:
         raise ParameterError(f"m={m} must divide n={n}")
     k = n // m
-    perm = seed.rng("permutation_partition", index).permutation(n)
+    perm = permutation_draws(seed.rng("permutation_partition", index), 1, n)[0]
     return Partition.from_blocks(n, [perm[j * k:(j + 1) * k] for j in range(m)])
 
 

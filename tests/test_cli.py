@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import pavelab
 
 from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, spectral_norm
 from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN_HEADER, main
@@ -296,3 +302,59 @@ class TestConfig:
 def test_usage_error_exit_2(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["gen"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "@a8", "--vary", "p", "--rate", "0.3", "--grid", "inf"),
+    ("scan", "@a8", "--vary", "p", "--rate", "0.3", "--grid", "nan"),
+    ("scan", "@a8", "--vary", "rho", "--grid", "0.3", "--p", "inf"),
+    ("scan", "@a8", "--vary", "rho", "--grid", "0.3", "--p", "nan"),
+    ("bound", "khintchine", "--p", "inf"),
+    ("bound", "mu", "--n", "10", "--gamma", "nan"),
+    ("--config", "@cfg", "bound", "mu", "--n", "10"),
+])
+def test_non_finite_numbers_exit_2(capsys, tmp_path, argv):
+    src, out_path, cfg = tmp_path / "a8.txt", tmp_path / "out.csv", tmp_path / "nan.cfg"
+    assert run(capsys, "gen", "sign", "8", "--out", str(src))[0] == EXIT_OK
+    cfg.write_text("gamma=nan\n")
+    argv = [{"@a8": str(src), "@cfg": str(cfg)}.get(tok, tok) for tok in argv]
+    if argv[0] == "scan":
+        argv += ["--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and "error:" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_artifacts_identical_across_blas_thread_counts(tmp_path):
+    """CLI runs as child processes give bytewise-equal artifacts with one BLAS
+    thread and with the inherited thread setting."""
+    runs = [
+        ("gen", "sign", "64", "--seed", "3", "--out", "a64.txt"),
+        ("pave", "a64.txt", "-m", "4", "--trials", "50", "--seed", "1", "--out", "pave.txt"),
+        ("gen", "sign", "12", "--seed", "4", "--out", "a12.txt"),
+        ("scan", "a12.txt", "--vary", "rho", "--grid", "0.1,0.3,0.5", "--p", "6",
+         "--method", "exact", "--out", "exact.csv"),
+        ("scan", "a64.txt", "--vary", "rho", "--grid", "0.1,0.3", "--p", "12",
+         "--trials", "50", "--method", "mc", "--out", "mc.csv"),
+    ]
+    src = os.path.dirname(os.path.dirname(pavelab.__file__))
+    inherited = dict(os.environ)
+    inherited["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in inherited.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    single = dict(inherited, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    results = []
+    for label, env in (("single", single), ("inherited", inherited)):
+        work = tmp_path / label
+        work.mkdir()
+        stdout = b""
+        for argv in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pavelab.cli", *argv],
+                cwd=work, env=env, capture_output=True, check=True,
+            )
+            stdout += proc.stdout
+        results.append((stdout, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
+    assert results[0][1].keys() == {"a64.txt", "pave.txt", "a12.txt", "exact.csv", "mc.csv"}
+    assert results[0] == results[1]

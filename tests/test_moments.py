@@ -274,3 +274,29 @@ class TestChunkSizeDeterminism:
         assert default.quality == single.quality
         assert default.best_trial_index == single.best_trial_index
         assert default.partition == single.partition
+
+
+_LAYER_MODELS = [Bernoulli(6, 0.3), UniformK(6, 2), BernoulliPair(4, 0.4), RademacherSigns(7)]
+
+
+class TestPatternLayer:
+    @pytest.mark.parametrize("model", _LAYER_MODELS)
+    def test_exact_weights_sum_to_one(self, model):
+        patterns, weights = moments.exact_patterns(model)
+        assert all(p.shape == (weights.size, model.n) for p in patterns)
+        assert np.sum(weights) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model",
+        _LAYER_MODELS + [Bernoulli(24, 0.3), UniformK(24, 5), BernoulliPair(24, 0.2),
+                         RademacherSigns(24)],
+    )
+    def test_sampled_counts_sum_to_trials(self, model):
+        trials = 500
+        patterns, counts = moments.sampled_patterns(model, Seed(3).rng("layer"), trials)
+        assert int(np.sum(counts)) == trials
+        assert all(p.shape == (counts.size, model.n) for p in patterns)
+        if model.n <= 20:
+            assert counts.size < trials  # deduped
+        else:
+            assert np.all(counts == 1)

@@ -20,7 +20,8 @@ from pavelab import (
     sample_subset,
     spectral_norm,
 )
-from pavelab.sampling import binomial_median_set
+from pavelab import sampling
+from pavelab.sampling import binomial_median_set, draw_patterns
 
 CHI2_ALPHA = 1e-3
 
@@ -114,6 +115,35 @@ class TestSampleSubset:
         for j in range(n):
             chi2 = np.sum((joint[j] - draws * probs) ** 2 / (draws * probs))
             assert chi2 < crit
+
+
+class TestSingleDrawIsBatchOfOne:
+    @pytest.mark.parametrize(
+        "model", [Bernoulli(9, 0.3), BernoulliPair(7, 0.4), RademacherSigns(10)]
+    )
+    def test_sample_subset_is_row_zero_of_draw_patterns(self, model):
+        for index in range(20):
+            got = sample_subset(model, Seed(5), index)
+            rng = Seed(5).rng(sampling._model_label(model), index)
+            rows = [m[0] for m in draw_patterns(model, rng, 1)]
+            if isinstance(model, RademacherSigns):
+                assert np.array_equal(got, np.where(rows[0], 1, -1))
+            else:
+                sets = got if isinstance(model, BernoulliPair) else (got,)
+                assert len(sets) == len(rows)
+                assert all(np.array_equal(s.mask(), r) for s, r in zip(sets, rows))
+
+    def test_uniform_k_single_draw_law(self):
+        from itertools import combinations
+
+        n, k, draws = 6, 2, 3 * 10 ** 4
+        index_of = {c: i for i, c in enumerate(combinations(range(n), k))}
+        counts = np.zeros(len(index_of))
+        for i in range(draws):
+            counts[index_of[sample_subset(UniformK(n, k), Seed(271), i).indices]] += 1
+        expected = draws / len(index_of)
+        chi2 = np.sum((counts - expected) ** 2 / expected)
+        assert chi2 < stats.chi2.ppf(1 - CHI2_ALPHA, len(index_of) - 1)
 
 
 class TestPermutationPartition:
