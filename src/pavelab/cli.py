@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,28 +226,53 @@ def _estimate(a, rate, p, method, trials, seed, index):
     return moment(a, Bernoulli(n, rate), p, method, trials, seed, index)
 
 
-def _scan_bounds(a, rate, p, gamma, method, trials, seed, index):
-    """step3 and extrapolation bound columns for one row; nan when out of scope."""
+class _BoundInputs(NamedTuple):
+    """Per-matrix inputs of the scan bound columns, computed once per scan.
+
+    `rho_ref` is None when the extrapolation bound is out of scope for the
+    matrix (n < 3, rho_ref outside (0, 0.5), or ||A|| > 1); then `lam` and
+    `constant` are nan.
+    """
+
+    mu: float
+    rho_ref: float | None
+    lam: float
+    constant: float
+
+
+def _bound_inputs(a, gamma) -> _BoundInputs:
     n = a.n_rows
     mu = max_abs_entry(a)
+    if n >= 3:
+        rho_ref = bounds.reference_rate(n, gamma)
+        if 0.0 < rho_ref < 0.5 and spectral_norm(a) <= 1.0 + 1e-9:
+            symmetric = np.array_equal(a.data, a.data.T)
+            return _BoundInputs(
+                mu, rho_ref, bounds.extrapolation_exponent(gamma),
+                bounds.extrapolation_constant(symmetric),
+            )
+    return _BoundInputs(mu, None, math.nan, math.nan)
+
+
+def _scan_bounds(a, rate, p, method, trials, seed, index, inputs):
+    """step3 and extrapolation bound columns for one row; nan when out of scope.
+
+    The caller supplies the matrix's `_bound_inputs`.
+    """
+    n = a.n_rows
     try:
-        s3 = bounds.step3_bound(mu, rate, n)
+        s3 = bounds.step3_bound(inputs.mu, rate, n)
     except ParameterError:
         s3 = math.nan
     extrap = math.nan
-    if n >= 3:
-        lam = bounds.extrapolation_exponent(gamma)
-        rho_ref = bounds.reference_rate(n, gamma)
-        p_ok = p == int(p) and int(p) % 2 == 0 and p >= 2 * math.log(n)
-        if (
-            0.0 < rho_ref < 0.5
-            and 0.0 < rate < 1.0
-            and p_ok
-            and spectral_norm(a) <= 1.0 + 1e-9
-        ):
-            ref = _estimate(a, rho_ref, p, method, trials, seed, index)
-            constant = bounds.extrapolation_constant(np.array_equal(a.data, a.data.T))
-            extrap = bounds.extrapolation_bound(constant, rate, rho_ref, lam, ref.value)
+    rho_ref = inputs.rho_ref
+    if (
+        rho_ref is not None
+        and 0.0 < rate < 1.0
+        and p == int(p) and int(p) % 2 == 0 and p >= 2 * math.log(n)
+    ):
+        ref = _estimate(a, rho_ref, p, method, trials, seed, index)
+        extrap = bounds.extrapolation_bound(inputs.constant, rate, rho_ref, inputs.lam, ref.value)
     return s3, extrap
 
 
@@ -256,6 +282,7 @@ def _cmd_scan(args) -> int:
         raise ParameterError("scan needs a square matrix")
     seed = parse_seed(args.seed)
     grid = _parse_grid(args.grid)
+    inputs = _bound_inputs(a, args.gamma)
     rows = []
     for i, value in enumerate(grid):
         if args.vary in ("rho", "delta"):
@@ -270,16 +297,13 @@ def _cmd_scan(args) -> int:
                 raise ParameterError("--rate is required when varying p")
         est = _estimate(a, rate, p, args.method, args.trials, seed, 2 * i)
         s3, extrap = _scan_bounds(
-            a, rate, p, args.gamma, args.method, args.trials, seed, 2 * i + 1
+            a, rate, p, args.method, args.trials, seed, 2 * i + 1, inputs
         )
         rows.append(
             f"{args.vary},{_fmt(value)},{'%.12g' % p},{_fmt(est.value)},"
             f"{_fmt(est.stderr)},{est.trials},{seed.master},{_fmt(s3)},{_fmt(extrap)}"
         )
-    with open(args.out, "w") as fh:
-        fh.write(SCAN_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    fileio.write_text(args.out, "".join(line + "\n" for line in [SCAN_HEADER, *rows]))
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -335,8 +359,23 @@ def _cmd_bound(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that records the dest of every argument it adds, so
+    config defaults go only to the subcommands that take them."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests: set[str] = set()  # before the base class adds -h
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; `defaults` (from a config file) act as flag defaults."""
+    parser = _Parser(
         prog="pavelab",
         description="matrix paving laboratory: ensembles, pavings, moments, bounds",
     )
@@ -393,6 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--m", type=int, default=None)
     p_bound.set_defaults(func=_cmd_bound)
 
+    if defaults:
+        parser.set_defaults(**defaults)
+        for command in (p_gen, p_pave, p_verify, p_scan, p_bound):
+            # string defaults go through each flag's type, as if typed
+            command.set_defaults(
+                **{k: str(v) for k, v in defaults.items() if k in command.dests}
+            )
     return parser
 
 
@@ -407,20 +453,13 @@ def _preparse_config(argv: list[str]) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         defaults = _preparse_config(argv)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if defaults:
-        parser.set_defaults(**defaults)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            # string defaults go through each flag's type, as if typed
-            action.set_defaults(**{k: str(v) for k, v in defaults.items() if k in known})
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(defaults).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -6,10 +6,14 @@ files round-trip float64 exactly; the parser accepts scientific notation.
 
 Partition format: one line per block of space-separated indices, blocks
 ordered by smallest element.
+
+Every writer goes through `write_text`, which replaces the target atomically.
 """
 from __future__ import annotations
 
+import contextlib
 import os
+import stat
 
 from .errors import FormatError
 from .matrices import DenseMatrix, Partition
@@ -56,9 +60,49 @@ def matrix_from_text(text: str) -> DenseMatrix:
     return DenseMatrix(np.array(rows, dtype=float).reshape(n_rows, n_cols))
 
 
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write `text` to `path` atomically.
+
+    The text goes to a new temp file in the target's directory, created with
+    the mode of the existing target (or the mode a plain open() would give
+    a new file), which is then renamed onto the target; a failure mid-write
+    leaves any previous file untouched and no temp file behind.  An existing
+    target that open() would not write (a read-only file) is refused the
+    same way.  A symlink keeps pointing at the new file; a hard link to the
+    old file keeps the old contents.  A target that exists but is no regular
+    file (/dev/stdout, a pipe) cannot be replaced and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            mode = None
+        else:  # open for writing without truncating: refused where open() was
+            os.close(os.open(target, os.O_WRONLY))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w") as fh:
-        fh.write(matrix_to_text(a))
+    write_text(path, matrix_to_text(a))
 
 
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
@@ -87,8 +131,7 @@ def partition_from_text(text: str, n: int) -> Partition:
 
 
 def write_partition(part: Partition, path: str | os.PathLike) -> None:
-    with open(path, "w") as fh:
-        fh.write(partition_to_text(part))
+    write_text(path, partition_to_text(part))
 
 
 def read_config(path: str | os.PathLike) -> dict:

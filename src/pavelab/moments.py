@@ -17,6 +17,9 @@ Cost model: a restricted norm ||A_{sigma,tau}|| is the largest singular value
 of the gathered |sigma| x |tau| submatrix, so a pattern with r selected rows
 and c selected columns costs O(r c min(r, c)), not O(n^3).  Patterns of equal
 (r, c) are factored together in stacks of at most `_chunk_rows(r, c)`.
+The norms of an exact pattern space depend on neither the rate nor p, so
+`exact_pattern_values` keeps the last matrix's norms and exact moments of one
+matrix share one enumeration per pattern space.
 """
 from __future__ import annotations
 
@@ -293,11 +296,36 @@ def _check_model_dim(a: DenseMatrix, model: ProjectorModel) -> None:
         )
 
 
+# The pattern norms of the last exact enumeration, as one (key, norms) tuple,
+# so no reader (in any thread) pairs one matrix's key with another's norms.
+# They depend only on the matrix and the pattern space, not on the rate or p,
+# so a scan over rates or p (or the two rates of an extrapolation check)
+# enumerates once.  `_BATCH` is in the key so that a run at another chunk
+# size recomputes instead of reusing.  The key holds a copy of the matrix
+# bytes (`data.nbytes`, 8 n^2), so each call copies the matrix once and the
+# entry retains that copy beside the norms.
+_last_norms: tuple | None = None
+
+
 def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
-    """(values, weights) over the model's full pattern space."""
+    """(values, weights) over the model's full pattern space.
+
+    The values come back read-only: they are reused by the next call on the
+    same matrix bytes and pattern space (model type, n, and k for UniformK).
+    Weights are built per call.
+    """
+    global _last_norms
     _check_model_dim(a, model)
     patterns, weights = exact_patterns(model)
-    return pattern_norms(a.data, model, patterns), weights
+    data = a.data
+    k = model.k if isinstance(model, UniformK) else None
+    key = (type(model), model.n, k, _BATCH, data.shape, data.tobytes())
+    entry = _last_norms
+    if entry is None or entry[0] != key:
+        norms = pattern_norms(data, model, patterns)
+        norms.flags.writeable = False
+        entry = _last_norms = (key, norms)
+    return entry[1], weights
 
 
 def exact_moment(a: DenseMatrix, model: ProjectorModel, p: float) -> MomentEstimate:

@@ -1,4 +1,7 @@
+import errno
+import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -8,6 +11,7 @@ import pytest
 import pavelab
 
 from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, spectral_norm
+from pavelab import fileio, moments
 from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN_HEADER, main
 from pavelab.fileio import read_matrix, write_matrix
 from pavelab.sampling import Bernoulli, gen_ensemble
@@ -251,6 +255,77 @@ class TestScan:
             "--method", "exact", "--seed", "2", "--out", str(tmp_path / "s.csv"),
         )
         assert code == EXIT_CAPACITY
+
+
+class TestScanEnumeratesOnce:
+    """An exact scan computes the pattern norms of its matrix once."""
+
+    @pytest.fixture
+    def masked_calls(self, monkeypatch):
+        monkeypatch.setattr(moments, "_last_norms", None, raising=False)
+        calls = []
+        real = moments.masked_norms
+
+        def counting(a, row_bits, col_bits):
+            calls.append(row_bits.shape[0])
+            return real(a, row_bits, col_bits)
+
+        monkeypatch.setattr(moments, "masked_norms", counting)
+        return calls
+
+    @pytest.mark.parametrize("vary, grid, extra", [
+        ("rho", "0.1,0.3,0.5,0.7,0.9", ["--p", "6"]),
+        ("p", "2,4,6,8", ["--rate", "0.3"]),
+    ])
+    def test_one_masked_norms_call(self, capsys, tmp_path, masked_calls, vary, grid, extra):
+        src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
+        run(capsys, "gen", "sign", "10", "--seed", "3", "--out", str(src))
+        code, _, _ = run(
+            capsys, "scan", str(src), "--vary", vary, "--grid", grid, *extra,
+            "--method", "exact", "--out", str(out_csv),
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert len(rows) == len(grid.split(","))
+        assert any(math.isfinite(float(row[8])) for row in rows)  # rho_ref rows ran
+        assert masked_calls == [1 << 10]
+
+
+class TestAtomicWrites:
+    def test_failed_scan_write_keeps_previous_csv(self, capsys, tmp_path, monkeypatch):
+        src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
+        run(capsys, "gen", "sign", "8", "--seed", "3", "--out", str(src))
+        out_csv.write_text("previous\n")
+
+        def boom(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(fileio.os, "replace", boom)
+        code, _, err = run(
+            capsys, "scan", str(src), "--vary", "rho", "--grid", "0.2,0.4",
+            "--method", "exact", "--out", str(out_csv),
+        )
+        assert code == EXIT_USAGE and "No space left" in err
+        assert out_csv.read_text() == "previous\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.txt", "scan.csv"]
+
+    def test_read_only_target_is_refused_where_open_refuses(self, capsys, tmp_path):
+        out = tmp_path / "m.txt"
+        out.write_text("previous\n")
+        out.chmod(0o444)
+        try:  # a superuser may write a read-only file; open() decides, as before
+            open(out, "a").close()
+            refused = False
+        except PermissionError:
+            refused = True
+        code, _, err = run(capsys, "gen", "sign", "8", "--seed", "3", "--out", str(out))
+        if refused:
+            assert code == EXIT_USAGE and "Permission denied" in err and str(out) in err
+            assert out.read_text() == "previous\n"
+        else:
+            assert code == EXIT_OK and out.read_text() != "previous\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o444
+        assert [f.name for f in tmp_path.iterdir()] == ["m.txt"]
 
 
 class TestBound:

@@ -1,6 +1,11 @@
+import builtins
+import errno
+import os
+import stat
+
 import pytest
 
-from pavelab import DenseMatrix, FormatError, Partition
+from pavelab import DenseMatrix, FormatError, Partition, fileio
 from pavelab.fileio import (
     matrix_from_text,
     matrix_to_text,
@@ -9,6 +14,7 @@ from pavelab.fileio import (
     read_config,
     read_matrix,
     write_matrix,
+    write_partition,
 )
 
 
@@ -76,3 +82,94 @@ def test_config_rejects_bad_line(tmp_path):
     cfg.write_text("just-a-word\n")
     with pytest.raises(FormatError):
         read_config(cfg)
+
+
+def _previous(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("previous contents\n")
+    return path
+
+
+def _only(tmp_path, path):
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == b"previous contents\n"
+
+
+def test_write_failing_midway_keeps_previous_file(rng, tmp_path, monkeypatch):
+    path = _previous(tmp_path)
+
+    class HalfWrite:
+        """A file that takes half of the text, then runs out of space."""
+
+        def __init__(self, fd, mode):
+            self.fh = builtins.open(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError):
+        write_matrix(DenseMatrix(rng.uniform(-1, 1, (4, 4))), path)
+    _only(tmp_path, path)
+
+
+def test_failing_serializer_keeps_previous_partition(tmp_path, monkeypatch):
+    path = _previous(tmp_path)
+
+    def boom(part):
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(fileio, "partition_to_text", boom)
+    with pytest.raises(RuntimeError):
+        write_partition(Partition.from_blocks(2, [[0], [1]]), path)
+    _only(tmp_path, path)
+
+
+def test_failing_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = _previous(tmp_path)
+
+    def boom(src, dst):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(fileio.os, "replace", boom)
+    with pytest.raises(OSError):
+        write_partition(Partition.from_blocks(2, [[0], [1]]), path)
+    _only(tmp_path, path)
+
+
+def test_write_gives_plain_mode_and_keeps_symlinks(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    link.symlink_to(target.name)
+    write_partition(Partition.from_blocks(2, [[0, 1]]), link)
+    assert link.is_symlink() and target.read_text() == "0 1\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+
+def test_write_keeps_existing_mode(tmp_path):
+    path = _previous(tmp_path)
+    path.chmod(0o640)
+    write_partition(Partition.from_blocks(2, [[0, 1]]), path)
+    assert path.read_text() == "0 1\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_write_to_fifo_writes_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_partition(Partition.from_blocks(2, [[0, 1]]), fifo)
+        assert os.read(reader, 100) == b"0 1\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)

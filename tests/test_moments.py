@@ -300,3 +300,69 @@ class TestPatternLayer:
             assert counts.size < trials  # deduped
         else:
             assert np.all(counts == 1)
+
+
+class TestPatternNormReuse:
+    """`exact_pattern_values` reuses the last matrix's pattern norms."""
+
+    @staticmethod
+    def _fresh(a, model):
+        return moments.pattern_norms(a.data, model, moments.exact_patterns(model)[0])
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        monkeypatch.setattr(moments, "_last_norms", None)
+        calls = []
+        real = moments.pattern_norms
+
+        def counting(a, model, patterns):
+            calls.append(model)
+            return real(a, model, patterns)
+
+        monkeypatch.setattr(moments, "pattern_norms", counting)
+        return calls
+
+    @pytest.mark.parametrize("model", _LAYER_MODELS)
+    def test_cold_and_warm_calls_bitwise_equal(self, counted, rng, model):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (model.n, model.n)))
+        cold, w_cold = moments.exact_pattern_values(a, model)
+        cold_est = exact_moment(a, model, 4.0)
+        warm, w_warm = moments.exact_pattern_values(a, model)
+        assert len(counted) == 1
+        assert warm is cold and np.array_equal(w_cold, w_warm)
+        assert np.array_equal(warm, self._fresh(a, model))
+        assert exact_moment(a, model, 4.0).value == cold_est.value
+
+    def test_rate_and_p_share_one_enumeration(self, counted, rng):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (7, 7)))
+        for rate in (0.0, 0.2, 0.7, 1.0):
+            for p in (2.0, 5.0):
+                exact_moment(a, Bernoulli(7, rate), p)
+        assert len(counted) == 1
+
+    @pytest.mark.parametrize("case", ["entries", "uniform_k", "signs", "mutated"])
+    def test_no_stale_hit(self, counted, rng, case):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (6, 6)))
+        first, second = Bernoulli(6, 0.3), Bernoulli(6, 0.3)
+        b = a
+        if case == "entries":
+            b = DenseMatrix(rng.uniform(-1.0, 1.0, (6, 6)))
+        elif case == "uniform_k":
+            first, second = UniformK(6, 2), UniformK(6, 3)
+        elif case == "signs":
+            second = RademacherSigns(6)
+        moments.exact_pattern_values(a, first)
+        if case == "mutated":  # the key is the bytes, not the object
+            a.data.flags.writeable = True
+            a.data[2, 3] += 0.5
+        values, weights = moments.exact_pattern_values(b, second)
+        assert len(counted) == 2
+        assert values.shape == weights.shape
+        assert np.array_equal(values, self._fresh(b, second))
+
+    def test_values_are_read_only(self, rng):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (5, 5)))
+        values, _ = moments.exact_pattern_values(a, Bernoulli(5, 0.4))
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
