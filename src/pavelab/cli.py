@@ -277,6 +277,8 @@ def _scan_bounds(a, rate, p, method, trials, seed, index, inputs):
 
 
 def _cmd_scan(args) -> int:
+    if args.gamma <= 0:
+        raise ParameterError(f"gamma must be positive, got {args.gamma}")
     a = fileio.read_matrix(args.input)
     if not a.is_square:
         raise ParameterError("scan needs a square matrix")

@@ -17,9 +17,14 @@ Cost model: a restricted norm ||A_{sigma,tau}|| is the largest singular value
 of the gathered |sigma| x |tau| submatrix, so a pattern with r selected rows
 and c selected columns costs O(r c min(r, c)), not O(n^3).  Patterns of equal
 (r, c) are factored together in stacks of at most `_chunk_rows(r, c)`.
+The whole BernoulliPair space is a product of row sets and column sets, so
+`pair_space_norms` forms one n x n Gram per row set (A_S^T A_S) or column set
+(A_T A_T^T) and then one k x k symmetric eigenproblem per pattern,
+k = min(|S|, |T|).
 The norms of an exact pattern space depend on neither the rate nor p, so
-`exact_pattern_values` keeps the last matrix's norms and exact moments of one
-matrix share one enumeration per pattern space.
+`exact_pattern_values` keeps the last matrix's norms (with the mask popcounts
+its weights need) and exact moments of one matrix share one enumeration per
+pattern space.
 """
 from __future__ import annotations
 
@@ -82,8 +87,11 @@ def mask_bits(n: int) -> np.ndarray:
 
 def bernoulli_weights(bits: np.ndarray, rate: float) -> np.ndarray:
     """Probability of each mask row under iid selection; log-space interior."""
-    n = bits.shape[1]
-    counts = bits.sum(axis=1)
+    return _count_weights(bits.sum(axis=1), bits.shape[1], rate)
+
+
+def _count_weights(counts: np.ndarray, n: int, rate: float) -> np.ndarray:
+    """Probability of a mask of each popcount in `counts` under iid selection."""
     if rate == 0.0:
         return (counts == 0).astype(np.float64)
     if rate == 1.0:
@@ -111,6 +119,100 @@ def batch_spectral_norms(stack: np.ndarray) -> np.ndarray:
         part = stack[start:start + step]
         out[start:start + part.shape[0]] = np.linalg.svd(part, compute_uv=False)[:, 0]
     return out
+
+
+# Scaled squared norms below this go through `masked_norms`: the Gram of a
+# block this far below the matrix's largest entry (scaled to [1/2, 1)) may
+# hold subnormal or flushed-to-zero squares.
+_TINY_GRAM = 2.0 ** -500
+
+
+def _top_eigenvalues(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """lambda_max of grams[g][t, t] for every Gram g and index set t = idx[j],
+    as a (len(grams), len(idx)) array.
+
+    Blocks of size 1 and 2 use closed forms; larger ones go through
+    `eigvalsh` (which reads the lower triangle) in stacks of
+    `_chunk_rows(k, k)`.
+    """
+    n_sets, k = idx.shape
+    total = grams.shape[0] * n_sets
+    out = np.empty(total)
+    step = total if k <= 2 else _chunk_rows(k, k)
+    for start in range(0, total, step):
+        g, j = np.divmod(np.arange(start, min(start + step, total)), n_sets)
+        t = idx[j]
+        blocks = grams[g[:, None, None], t[:, :, None], t[:, None, :]]
+        if k == 1:
+            lam = blocks[:, 0, 0]
+        elif k == 2:
+            p, q, s = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
+            lam = 0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
+        else:
+            lam = np.linalg.eigvalsh(blocks)[:, -1]
+        out[start:start + lam.size] = lam
+    return out.reshape(grams.shape[0], n_sets)
+
+
+def pair_space_norms(a: np.ndarray) -> np.ndarray:
+    """||A_{S,T}|| for every (row set S, column set T) of a square matrix.
+
+    Results come in `exact_patterns` order for BernoulliPair (row code major,
+    column code minor; bit i of a code selects coordinate i), so pattern
+    S_code * 2^n + T_code.  For each row count r the Grams A_S^T A_S of all
+    row sets come from one batched matmul, and likewise A_T A_T^T per column
+    count c; ||A_{S,T}||^2 is the top eigenvalue of the c x c block [T, T] of
+    the first when c <= r, else of the r x r block [S, S] of the second.  The
+    matrix is scaled by a power of two first so that the Grams neither
+    overflow nor underflow; a pattern whose scaled squared norm is below
+    `_TINY_GRAM` is recomputed by `masked_norms`.  Empty sides are 0.
+    """
+    n = a.shape[0]
+    size = 1 << n
+    out = np.zeros((size, size))
+    amax = float(np.abs(a).max()) if a.size else 0.0
+    if amax == 0.0:
+        return out.ravel()
+    shift = math.frexp(amax)[1]
+    b = np.ldexp(a, -shift)
+    bits = mask_bits(n)
+    counts = bits.sum(axis=1)
+    codes = [np.flatnonzero(counts == k) for k in range(n + 1)]
+    idx = [np.nonzero(bits[c])[1].reshape(c.size, k) for k, c in enumerate(codes)]
+
+    def grams(m: np.ndarray, k: int) -> np.ndarray:
+        rows = m[idx[k]]
+        return np.matmul(rows.transpose(0, 2, 1), rows)
+
+    row_grams = [None] + [grams(b, k) for k in range(1, n + 1)]
+    col_grams = [None] + [grams(b.T, k) for k in range(1, n + 1)]
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            if c <= r:
+                lam = _top_eigenvalues(row_grams[r], idx[c])
+            else:
+                lam = _top_eigenvalues(col_grams[c], idx[r]).T
+            out[codes[r][:, None], codes[c][None, :]] = lam
+    tiny = out < _TINY_GRAM
+    tiny[0, :] = tiny[:, 0] = False
+    out = np.ldexp(np.sqrt(np.maximum(out, 0.0)), shift)
+    s_code, t_code = np.nonzero(tiny)
+    if s_code.size:
+        out[s_code, t_code] = masked_norms(a, bits[s_code], bits[t_code])
+    return out.ravel()
+
+
+def _is_pair_space(patterns: tuple, n: int) -> bool:
+    """True when pair patterns are the whole 4^n space in `exact_patterns` order."""
+    rows, cols = patterns
+    size = 1 << n
+    if rows.shape != (size * size, n) or cols.shape != rows.shape:
+        return False
+    bits = mask_bits(n) != 0
+    return bool(
+        np.all((rows.reshape(size, size, n) != 0) == bits[:, None, :])
+        and np.all((cols.reshape(size, size, n) != 0) == bits[None, :, :])
+    )
 
 
 def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> np.ndarray:
@@ -183,37 +285,57 @@ def weighted_moment_stats(
 # Pattern spaces, norms and the reduction
 # ---------------------------------------------------------------------------
 
-def exact_patterns(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
-    """(patterns, weights) over the model's full pattern space.
-
-    `patterns` is (masks,) of 0/1 rows, (row_masks, col_masks) for
-    BernoulliPair, or (signs,) of +-1 rows for RademacherSigns; weights sum
-    to one.  Raises CapacityError past the enumeration caps.
-    """
+def _exact_space(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
+    """(patterns, counts): the model's full pattern space as in
+    `exact_patterns`, and the popcounts of the masks its weights are built
+    from (of one side's 2^n masks for BernoulliPair).  Raises CapacityError
+    past the enumeration caps."""
     n = model.n
     if isinstance(model, Bernoulli):
         if n > EXACT_BERNOULLI_MAX_N:
             raise CapacityError(f"exact Bernoulli enumeration needs 2^{n} patterns")
         bits = mask_bits(n)
-        return (bits,), bernoulli_weights(bits, model.rate)
+        return (bits,), bits.sum(axis=1)
     if isinstance(model, UniformK):
         count = math.comb(n, model.k)
         if count > EXACT_UNIFORMK_MAX_PATTERNS:
             raise CapacityError(f"exact uniform-k enumeration needs {count} patterns")
-        return (subset_bits(n, model.k),), np.full(count, 1.0 / count)
+        bits = subset_bits(n, model.k)
+        return (bits,), bits.sum(axis=1)
     if isinstance(model, BernoulliPair):
         if n > EXACT_PAIR_MAX_N:
             raise CapacityError(f"exact pair enumeration needs 4^{n} patterns")
         bits = mask_bits(n)
-        w1 = bernoulli_weights(bits, model.rate)
-        reps = np.repeat(np.arange(1 << n), 1 << n)
-        tile = np.tile(np.arange(1 << n), 1 << n)
-        return (bits[reps], bits[tile]), w1[reps] * w1[tile]
+        size = 1 << n
+        return (np.repeat(bits, size, axis=0), np.tile(bits, (size, 1))), bits.sum(axis=1)
     if isinstance(model, RademacherSigns):
         if n > EXACT_SIGNS_MAX_N:
             raise CapacityError(f"exact sign enumeration needs 2^{n} patterns")
-        return (2.0 * mask_bits(n) - 1.0,), np.full(1 << n, 1.0 / (1 << n))
+        bits = mask_bits(n)
+        return (2.0 * bits - 1.0,), bits.sum(axis=1)
     raise ParameterError(f"unknown model {model!r}")
+
+
+def _exact_weights(model: ProjectorModel, counts: np.ndarray) -> np.ndarray:
+    """Weights of the model's full pattern space from `_exact_space` counts."""
+    if isinstance(model, Bernoulli):
+        return _count_weights(counts, model.n, model.rate)
+    if isinstance(model, BernoulliPair):
+        w1 = _count_weights(counts, model.n, model.rate)
+        return np.outer(w1, w1).ravel()
+    return np.full(counts.size, 1.0 / counts.size)
+
+
+def exact_patterns(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
+    """(patterns, weights) over the model's full pattern space.
+
+    `patterns` is (masks,) of 0/1 rows, (row_masks, col_masks) for
+    BernoulliPair (row mask major), or (signs,) of +-1 rows for
+    RademacherSigns; weights sum to one.  Raises CapacityError past the
+    enumeration caps.
+    """
+    patterns, counts = _exact_space(model)
+    return patterns, _exact_weights(model, counts)
 
 
 def sampled_patterns(
@@ -246,9 +368,16 @@ def sampled_patterns(
 
 def pattern_norms(a: np.ndarray, model: ProjectorModel, patterns: tuple) -> np.ndarray:
     """The model's norm per pattern: ||P_sigma A P_tau||, or for
-    RademacherSigns the norm of the signed column outer-product sum."""
+    RademacherSigns the norm of the signed column outer-product sum.
+
+    BernoulliPair patterns that are the whole pair space in `exact_patterns`
+    order (also a deduped sample that drew every pattern) go through
+    `pair_space_norms`, any others through `masked_norms`.
+    """
     if isinstance(model, RademacherSigns):
         return sign_sum_norms(a, patterns[0])
+    if isinstance(model, BernoulliPair) and _is_pair_space(patterns, model.n):
+        return pair_space_norms(a)
     return masked_norms(a, patterns[0], patterns[-1])
 
 
@@ -296,14 +425,15 @@ def _check_model_dim(a: DenseMatrix, model: ProjectorModel) -> None:
         )
 
 
-# The pattern norms of the last exact enumeration, as one (key, norms) tuple,
-# so no reader (in any thread) pairs one matrix's key with another's norms.
-# They depend only on the matrix and the pattern space, not on the rate or p,
-# so a scan over rates or p (or the two rates of an extrapolation check)
-# enumerates once.  `_BATCH` is in the key so that a run at another chunk
-# size recomputes instead of reusing.  The key holds a copy of the matrix
-# bytes (`data.nbytes`, 8 n^2), so each call copies the matrix once and the
-# entry retains that copy beside the norms.
+# The pattern norms of the last exact enumeration, as one (key, norms, counts)
+# tuple, so no reader (in any thread) pairs one matrix's key with another's
+# norms.  They depend only on the matrix and the pattern space, not on the
+# rate or p, so a scan over rates or p (or the two rates of an extrapolation
+# check) enumerates once; `counts` are the `_exact_space` popcounts, from
+# which each call builds its weights.  `_BATCH` is in the key so that a run
+# at another chunk size recomputes instead of reusing.  The key holds a copy
+# of the matrix bytes (`data.nbytes`, 8 n^2), so each call copies the matrix
+# once and the entry retains that copy beside the norms.
 _last_norms: tuple | None = None
 
 
@@ -316,16 +446,16 @@ def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
     """
     global _last_norms
     _check_model_dim(a, model)
-    patterns, weights = exact_patterns(model)
     data = a.data
     k = model.k if isinstance(model, UniformK) else None
     key = (type(model), model.n, k, _BATCH, data.shape, data.tobytes())
     entry = _last_norms
     if entry is None or entry[0] != key:
+        patterns, counts = _exact_space(model)
         norms = pattern_norms(data, model, patterns)
         norms.flags.writeable = False
-        entry = _last_norms = (key, norms)
-    return entry[1], weights
+        entry = _last_norms = (key, norms, counts)
+    return entry[1], _exact_weights(model, entry[2])
 
 
 def exact_moment(a: DenseMatrix, model: ProjectorModel, p: float) -> MomentEstimate:

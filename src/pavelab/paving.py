@@ -73,12 +73,10 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
     block_of = np.repeat(np.arange(trials * m), k)
     masks = np.zeros((trials * m, n), dtype=bool)
     masks[block_of, perms.reshape(-1)] = True
-    best, _ = _quality_argmin(a.data, masks, m)
-    blocks = perms[best].reshape(m, k)
-    part = Partition.from_blocks(n, blocks)
+    best, qualities = _quality_argmin(a.data, masks, m)
     return PavingResult(
-        partition=part,
-        quality=paving_quality(a, part),
+        partition=Partition.from_blocks(n, perms[best].reshape(m, k)),
+        quality=float(qualities[best]),
         trials_used=trials,
         best_trial_index=best,
         seed=seed,
@@ -167,11 +165,10 @@ def exhaustive_pave(a: DenseMatrix, m: int, balanced_only: bool = True) -> Pavin
     for row, part in enumerate(partitions):
         for j, block in enumerate(part):
             masks[row * m + j, list(block)] = True
-    best, _ = _quality_argmin(a.data, masks, m)
-    part = Partition.from_blocks(n, partitions[best])
+    best, qualities = _quality_argmin(a.data, masks, m)
     return PavingResult(
-        partition=part,
-        quality=paving_quality(a, part),
+        partition=Partition.from_blocks(n, partitions[best]),
+        quality=float(qualities[best]),
         trials_used=count,
         best_trial_index=best,
         seed=None,

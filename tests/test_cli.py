@@ -256,6 +256,20 @@ class TestScan:
         )
         assert code == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("gamma", ["0", "-1"])
+    def test_nonpositive_gamma_exits_2_before_reading_or_writing(self, capsys, tmp_path, gamma):
+        out_csv = tmp_path / "s.csv"
+        for src in (tmp_path / "missing.txt", tmp_path / "m.txt"):
+            if src.name == "m.txt":
+                write_matrix(gen_ensemble("sign_normalized", 8, Seed(5)), src)
+            code, out, err = run(
+                capsys, "scan", str(src), "--vary", "rho", "--grid", "0.2,0.4",
+                "--p", "6", "--gamma", gamma, "--out", str(out_csv),
+            )
+            assert code == EXIT_USAGE
+            assert err.startswith("error: gamma must be positive")
+            assert out == "" and not out_csv.exists()
+
 
 class TestScanEnumeratesOnce:
     """An exact scan computes the pattern norms of its matrix once."""
@@ -433,3 +447,23 @@ def test_artifacts_identical_across_blas_thread_counts(tmp_path):
         results.append((stdout, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
     assert results[0][1].keys() == {"a64.txt", "pave.txt", "a12.txt", "exact.csv", "mc.csv"}
     assert results[0] == results[1]
+
+
+def test_decoupling_verify_identical_across_blas_thread_counts():
+    """`verify DECOUPLING` (exact pair moments) run as child processes prints
+    bytewise-equal reports with one BLAS thread and the inherited setting."""
+    src = os.path.dirname(os.path.dirname(pavelab.__file__))
+    inherited = dict(os.environ)
+    inherited["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in inherited.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    single = dict(inherited, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "pavelab.cli", "verify", "DECOUPLING", "--size", "tiny"],
+            env=env, capture_output=True, check=True,
+        ).stdout
+        for env in (single, inherited)
+    ]
+    assert b"suite=DECOUPLING" in outs[0]
+    assert outs[0] == outs[1]

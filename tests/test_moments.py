@@ -366,3 +366,137 @@ class TestPatternNormReuse:
         assert not values.flags.writeable
         with pytest.raises(ValueError):
             values[0] = 1.0
+
+
+def _pair_case(rng, n, kind):
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "hollow":
+        np.fill_diagonal(a, 0.0)
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind == "rank_one":
+        a = np.outer(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n))
+    elif kind == "tiny":
+        a *= 1e-160
+    elif kind == "huge":
+        a *= 1e150
+    elif kind == "vast":  # squares overflow without the power-of-two prescale
+        a *= 1e200
+    elif kind == "mixed":  # one block far below the rest
+        h = max(1, n // 2)
+        a[:h, :h] *= 1e-200
+    return a
+
+
+class TestPairSpaceNorms:
+    """`pair_space_norms` against the gathered-submatrix SVD of every pattern."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "kind", ["random", "hollow", "zero", "rank_one", "tiny", "huge", "vast", "mixed"]
+    )
+    def test_matches_gathered_svd(self, rng, n, kind):
+        a = _pair_case(rng, n, kind)
+        rows, cols = moments.exact_patterns(BernoulliPair(n, 0.5))[0]
+        want = masked_norms(a, rows, cols)  # one SVD per gathered submatrix
+        got = moments.pair_space_norms(a)
+        assert got.shape == want.shape
+        assert np.all(got[want == 0.0] == 0.0)
+        nz = want != 0.0
+        assert np.all(np.abs(got[nz] - want[nz]) <= 1e-13 * want[nz])
+        empty = (rows.sum(axis=1) == 0) | (cols.sum(axis=1) == 0)
+        assert np.all(got[empty] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_each_pattern_is_its_submatrix_norm(self, rng, n):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        got = moments.pair_space_norms(a)
+        size = 1 << n
+        for s_code in range(size):
+            for t_code in range(size):
+                s = [i for i in range(n) if s_code >> i & 1]
+                t = [j for j in range(n) if t_code >> j & 1]
+                sub = a[np.ix_(s, t)]
+                want = np.linalg.svd(sub, compute_uv=False)[0] if s and t else 0.0
+                assert got[s_code * size + t_code] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mixed_range_block_is_not_lost(self, rng):
+        a = _pair_case(rng, 6, "mixed")
+        got = moments.pair_space_norms(a).reshape(64, 64)
+        inner = a[:3, :3]
+        assert got[0b111, 0b111] == pytest.approx(
+            np.linalg.svd(inner, compute_uv=False)[0], rel=1e-13
+        )
+        assert 1e-201 < got[0b111, 0b111] < 1e-199
+
+    @pytest.mark.parametrize("kind", ["tiny", "vast"])
+    def test_scaled_matrices_need_no_fallback(self, monkeypatch, rng, kind):
+        a = _pair_case(rng, 6, kind)
+        want = moments.pair_space_norms(a / np.abs(a).max()) * np.abs(a).max()
+        monkeypatch.setattr(moments, "masked_norms", None)
+        got = moments.pair_space_norms(a)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_pattern_norms_takes_kernel_for_whole_space_only(self, rng):
+        a = rng.uniform(-1.0, 1.0, (5, 5))
+        model = BernoulliPair(5, 0.3)
+        rows, cols = moments.exact_patterns(model)[0]
+        assert np.array_equal(
+            moments.pattern_norms(a, model, (rows, cols)), moments.pair_space_norms(a)
+        )
+        for part in [(rows[::-1], cols[::-1]), (rows, cols[::-1]), (rows[::-1], cols)]:
+            assert np.array_equal(
+                moments.pattern_norms(a, model, part), masked_norms(a, *part)
+            )
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_exact_moment_matches_brute_force(self, rng, n):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        np.fill_diagonal(a, 0.0)
+        got = exact_moment(DenseMatrix(a), BernoulliPair(n, 0.4), 4.0).value
+        assert got == pytest.approx(brute_force_pair_moment(a, 0.4, 4.0), rel=1e-12)
+
+    def test_bitwise_at_batch_one(self, monkeypatch, rng):
+        a = rng.uniform(-1.0, 1.0, (7, 7))
+        default = moments.pair_space_norms(a)
+        monkeypatch.setattr(moments, "_BATCH", 1)
+        assert np.array_equal(default, moments.pair_space_norms(a))
+
+    def test_cold_and_warm_bitwise_equal_and_warm_skips_enumeration(self, monkeypatch, rng):
+        monkeypatch.setattr(moments, "_last_norms", None)
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (7, 7)))
+        cold, w_cold = moments.exact_pattern_values(a, BernoulliPair(7, 0.3))
+        cold_est = exact_moment(a, BernoulliPair(7, 0.3), 6.0).value
+        spaces = []
+        real = moments._exact_space
+        monkeypatch.setattr(
+            moments, "_exact_space", lambda model: spaces.append(model) or real(model)
+        )
+        warm, w_warm = moments.exact_pattern_values(a, BernoulliPair(7, 0.3))
+        _, w_other = moments.exact_pattern_values(a, BernoulliPair(7, 0.6))
+        assert spaces == []
+        assert warm is cold and np.array_equal(w_cold, w_warm)
+        assert exact_moment(a, BernoulliPair(7, 0.3), 6.0).value == cold_est
+        assert np.array_equal(w_other, moments.exact_patterns(BernoulliPair(7, 0.6))[1])
+
+
+class TestWarmWeights:
+    """A warm hit builds the weights alone, bitwise equal to a fresh build."""
+
+    @pytest.mark.parametrize("model", _LAYER_MODELS + [Bernoulli(6, 0.0), Bernoulli(6, 1.0)])
+    def test_weights_match_exact_patterns(self, monkeypatch, rng, model):
+        monkeypatch.setattr(moments, "_last_norms", None)
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (model.n, model.n)))
+        want = moments.exact_patterns(model)[1]
+        moments.exact_pattern_values(a, model)
+        monkeypatch.setattr(moments, "_exact_space", None)  # a warm hit must not enumerate
+        _, weights = moments.exact_pattern_values(a, model)
+        assert np.array_equal(weights, want)
+
+    def test_pair_weights_are_products_of_one_side(self):
+        n, rate = 5, 0.3
+        w1 = moments.bernoulli_weights(moments.mask_bits(n), rate)
+        reps, tile = np.repeat(np.arange(1 << n), 1 << n), np.tile(np.arange(1 << n), 1 << n)
+        assert np.array_equal(
+            moments.exact_patterns(BernoulliPair(n, rate))[1], w1[reps] * w1[tile]
+        )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pavelab.paving
 from pavelab import (
     CapacityError,
     DenseMatrix,
@@ -64,6 +65,23 @@ class TestRandomPave:
         res = random_pave(a, 4, 30, Seed(3))
         assert res.quality == paving_quality(a, res.partition)
         assert res.quality <= spectral_norm(a) + 1e-12
+
+    @pytest.mark.parametrize("n, m", [(8, 4), (12, 3), (64, 8)])
+    def test_quality_taken_from_the_search(self, monkeypatch, rng, n, m):
+        """Both engines report the winning trial's quality as computed in the
+        search, bitwise equal to refactoring its blocks."""
+        a = DenseMatrix(rng.uniform(-1, 1, (n, n)))
+
+        def refactor(*args):
+            raise AssertionError("paving engine refactored the best partition")
+
+        monkeypatch.setattr(pavelab.paving, "paving_quality", refactor, raising=False)
+        results = [random_pave(a, m, 20, Seed(4))]
+        if n <= 8:
+            results.append(exhaustive_pave(a, m))
+        for res in results:
+            assert type(res.quality) is float
+            assert res.quality == paving_quality(a, res.partition)
 
     def test_transpose_same_quality(self, rng):
         a = _hollow(rng, 6)
