@@ -9,8 +9,11 @@ Patterns, weights and moments come from the pattern layer in `moments`:
 restriction moments through its exact/Monte Carlo dispatch `moment`, and the
 cases with their own per-pattern quantity (RESTRICT_RV, COLNORM and the two
 Khintchine cases) through `exact_patterns`/`sampled_patterns` on the stream
-"ineq:<CASE>" and the reduction `moment_stats`.  Exact sign enumeration
-shares the layer's cap of EXACT_SIGNS_MAX_N = 14 terms.
+"ineq:<CASE>" and the reduction `weighted_moment_stats` (trials 0 when
+exact).  Exact pair moments take the layer's whole-space pair kernel, chosen
+by model.  Exact sign enumeration shares the layer's cap of
+EXACT_SIGNS_MAX_N = 14 terms; NC_KHINTCHINE's Schatten norms come from
+`matrices.batch_schatten_norms`.
 """
 from __future__ import annotations
 
@@ -22,14 +25,20 @@ import numpy as np
 
 from .bounds import haagerup_constant, khintchine_constant, rudelson_bound, step3_bound
 from .errors import ParameterError, PreconditionError
-from .matrices import DenseMatrix, max_abs_entry, max_column_norm, spectral_norm
+from .matrices import (
+    DenseMatrix,
+    batch_schatten_norms,
+    max_abs_entry,
+    max_column_norm,
+    spectral_norm,
+)
 from .moments import (
     exact_patterns,
     masked_norms,
     moment,
-    moment_stats,
     sampled_patterns,
     verdict,
+    weighted_moment_stats,
 )
 from .polynomials import check_extrapolation
 from .sampling import (
@@ -111,17 +120,6 @@ def _patterns(model: ProjectorModel, case: str, method: str, trials: int, seed):
         return patterns, weights, 0
     patterns, counts = sampled_patterns(model, seed.rng(f"ineq:{case}"), trials)
     return patterns, counts, trials
-
-
-def _schatten_batch(stack: np.ndarray, p: float) -> np.ndarray:
-    svs = np.linalg.svd(stack, compute_uv=False)
-    top = svs[:, 0]
-    out = np.zeros(stack.shape[0])
-    ok = top > 0
-    if np.any(ok):
-        scaled = svs[ok] / top[ok, None]
-        out[ok] = top[ok] * np.sum(scaled ** p, axis=1) ** (1.0 / p)
-    return out
 
 
 def _need(cond: bool, case: str, what: str) -> None:
@@ -209,8 +207,8 @@ def _eval_restrict_rv(inst, method, trials, seed):
     spec_vals = masked_norms(x, np.ones_like(bits), bits)
     # largest Euclidean norm over the selected columns, per pattern
     col_vals = np.sqrt(np.max(bits * np.sum(x * x, axis=0)[None, :], axis=1))
-    lhs, se_l = moment_stats(spec_vals, weights, t, p)
-    colm, se_c = moment_stats(col_vals, weights, t, p)
+    lhs, se_l = weighted_moment_stats(spec_vals, weights, t, p)
+    colm, se_c = weighted_moment_stats(col_vals, weights, t, p)
     factor = 3.0 * math.sqrt(p)
     rhs = factor * colm + math.sqrt(rate) * spectral_norm(inst.matrix)
     return lhs, rhs, math.hypot(se_l, factor * se_c), ()
@@ -222,7 +220,7 @@ def _eval_colnorm(inst, method, trials, seed):
         Bernoulli(x.shape[0], rate), "COLNORM", method, trials, seed
     )
     # largest column norm of the row-restricted matrix, per pattern
-    lhs, se = moment_stats(np.sqrt(np.max(bits @ (x * x), axis=1)), weights, t, p)
+    lhs, se = weighted_moment_stats(np.sqrt(np.max(bits @ (x * x), axis=1)), weights, t, p)
     tail = math.sqrt(rate) * max_column_norm(inst.matrix)
     rhs = 3.0 * math.sqrt(p) * max_abs_entry(inst.matrix) + tail
     rhs_proof = 2.0 ** 1.5 * math.sqrt(p) * max_abs_entry(inst.matrix) + tail
@@ -262,7 +260,7 @@ def _eval_nc_khintchine(inst, method, trials, seed):
         RademacherSigns(mats.shape[0]), "NC_KHINTCHINE", method, trials, seed
     )
     sums = np.einsum("sj,jrc->src", signs, mats)
-    lhs, se = moment_stats(_schatten_batch(sums, p), weights, t, p)
+    lhs, se = weighted_moment_stats(batch_schatten_norms(sums, p), weights, t, p)
     gram_left = np.einsum("jrc,jsc->rs", mats, mats)
     gram_right = np.einsum("jrc,jrs->cs", mats, mats)
     sides = []
@@ -287,7 +285,7 @@ def _eval_scalar_khintchine(inst, method, trials, seed):
     (signs,), weights, t = _patterns(
         RademacherSigns(a.size), "SCALAR_KHINTCHINE", method, trials, seed
     )
-    lhs, se = moment_stats(np.abs(signs @ a), weights, t, q)
+    lhs, se = weighted_moment_stats(np.abs(signs @ a), weights, t, q)
     rhs = haagerup_constant(q) * float(np.sqrt(np.sum(a * a)))
     return lhs, rhs, se, ()
 

@@ -203,17 +203,26 @@ def spectral_norm(a: DenseMatrix) -> float:
     return float(np.linalg.svd(a.data, compute_uv=False)[0])
 
 
+def batch_schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
+    """l_p norm of the singular-value vector per matrix of a (B, r, c) stack,
+    scaled by the largest singular value for stability."""
+    svs = np.linalg.svd(stack, compute_uv=False)
+    top = svs[:, 0]
+    out = np.zeros(stack.shape[0])
+    ok = top > 0
+    if np.any(ok):
+        scaled = svs[ok] / top[ok, None]
+        out[ok] = top[ok] * np.sum(scaled ** p, axis=1) ** (1.0 / p)
+    return out
+
+
 def schatten_norm(a: DenseMatrix, p: float) -> float:
     """l_p norm of the singular-value vector."""
     if p < 1:
         raise ParameterError(f"Schatten norm needs p >= 1, got {p}")
-    sv = singular_values(a)
-    if sv.size == 0:
+    if a.is_empty:
         return 0.0
-    top = sv[0]
-    if top == 0.0:
-        return 0.0
-    return float(top * np.sum((sv / top) ** p) ** (1.0 / p))
+    return float(batch_schatten_norms(a.data[None], p)[0])
 
 
 def max_column_norm(a: DenseMatrix) -> float:

@@ -6,8 +6,9 @@ checks, CLI): `exact_patterns` enumerates a law's pattern space with
 log-space weights and holds the capacity caps (sign enumeration: at most
 EXACT_SIGNS_MAX_N = 14 terms); `sampled_patterns` dedupes the draws of
 `sampling.draw_patterns` at n <= 20; `pattern_norms` is the per-model norm,
-`moment_stats` the one reduction (weighted power mean, or sample mean with a
-delta-method standard error) and `moment` the one exact/Monte Carlo dispatch.
+`weighted_moment_stats` the one reduction (exact weighted power mean, or
+sample mean with a delta-method standard error) and `moment` the one
+exact/Monte Carlo dispatch.
 
 Patterns are ordered by a binary counter on coordinate masks (or by packed
 code for deduped draws), and all reductions run in that fixed order, so
@@ -20,7 +21,10 @@ and c selected columns costs O(r c min(r, c)), not O(n^3).  Patterns of equal
 The whole BernoulliPair space is a product of row sets and column sets, so
 `pair_space_norms` forms one n x n Gram per row set (A_S^T A_S) or column set
 (A_T A_T^T) and then one k x k symmetric eigenproblem per pattern,
-k = min(|S|, |T|).
+k = min(|S|, |T|).  `exact_pattern_values` picks that kernel by model and
+never builds the 4^n pair mask rows; only `exact_patterns` expands one
+side's 2^n masks into them, for callers that read the rows.  Sampled pair
+patterns always go through `masked_norms`.
 The norms of an exact pattern space depend on neither the rate nor p, so
 `exact_pattern_values` keeps the last matrix's norms (with the mask popcounts
 its weights need) and exact moments of one matrix share one enumeration per
@@ -202,19 +206,6 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _is_pair_space(patterns: tuple, n: int) -> bool:
-    """True when pair patterns are the whole 4^n space in `exact_patterns` order."""
-    rows, cols = patterns
-    size = 1 << n
-    if rows.shape != (size * size, n) or cols.shape != rows.shape:
-        return False
-    bits = mask_bits(n) != 0
-    return bool(
-        np.all((rows.reshape(size, size, n) != 0) == bits[:, None, :])
-        and np.all((cols.reshape(size, size, n) != 0) == bits[None, :, :])
-    )
-
-
 def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> np.ndarray:
     """||P_sigma A P_tau|| for each (row mask, column mask) pair of rows.
 
@@ -258,12 +249,13 @@ def sign_sum_norms(a: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def weighted_moment_stats(
-    values: np.ndarray, counts: np.ndarray, trials: int, p: float
+    values: np.ndarray, weights: np.ndarray, trials: int, p: float
 ) -> tuple[float, float]:
-    """Sample (E v^p)^(1/p) and its delta-method standard error.
+    """((E v^p)^(1/p), stderr) over patterns, scaled by max(v) for stability.
 
-    `values` are the distinct observed values with multiplicities `counts`
-    (counts sum to trials).
+    trials == 0 means `weights` are exact probabilities (stderr 0); otherwise
+    they are the multiplicities of distinct sampled values, summing to
+    `trials`, and the stderr is the delta-method one.
     """
     if values.size == 0:
         return 0.0, 0.0
@@ -271,11 +263,11 @@ def weighted_moment_stats(
     if vmax == 0.0:
         return 0.0, 0.0
     ys = (values / vmax) ** p
-    mean = float(np.sum(counts * ys)) / trials
+    mean = float(np.sum(weights * ys)) / max(trials, 1)
     est = vmax * mean ** (1.0 / p)
     if trials < 2 or mean == 0.0:
         return est, 0.0
-    ss = float(np.sum(counts * (ys - mean) ** 2))
+    ss = float(np.sum(weights * (ys - mean) ** 2))
     var_mean = ss / (trials - 1) / trials
     se = vmax * (1.0 / p) * mean ** (1.0 / p - 1.0) * math.sqrt(max(var_mean, 0.0))
     return est, se
@@ -287,8 +279,8 @@ def weighted_moment_stats(
 
 def _exact_space(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
     """(patterns, counts): the model's full pattern space as in
-    `exact_patterns`, and the popcounts of the masks its weights are built
-    from (of one side's 2^n masks for BernoulliPair).  Raises CapacityError
+    `exact_patterns` (one side's 2^n masks for BernoulliPair), and the
+    popcounts of the masks its weights are built from.  Raises CapacityError
     past the enumeration caps."""
     n = model.n
     if isinstance(model, Bernoulli):
@@ -306,8 +298,7 @@ def _exact_space(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
         if n > EXACT_PAIR_MAX_N:
             raise CapacityError(f"exact pair enumeration needs 4^{n} patterns")
         bits = mask_bits(n)
-        size = 1 << n
-        return (np.repeat(bits, size, axis=0), np.tile(bits, (size, 1))), bits.sum(axis=1)
+        return (bits,), bits.sum(axis=1)
     if isinstance(model, RademacherSigns):
         if n > EXACT_SIGNS_MAX_N:
             raise CapacityError(f"exact sign enumeration needs 2^{n} patterns")
@@ -335,6 +326,9 @@ def exact_patterns(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
     enumeration caps.
     """
     patterns, counts = _exact_space(model)
+    if isinstance(model, BernoulliPair):
+        bits, size = patterns[0], counts.size
+        patterns = (np.repeat(bits, size, axis=0), np.tile(bits, (size, 1)))
     return patterns, _exact_weights(model, counts)
 
 
@@ -367,34 +361,11 @@ def sampled_patterns(
 
 
 def pattern_norms(a: np.ndarray, model: ProjectorModel, patterns: tuple) -> np.ndarray:
-    """The model's norm per pattern: ||P_sigma A P_tau||, or for
-    RademacherSigns the norm of the signed column outer-product sum.
-
-    BernoulliPair patterns that are the whole pair space in `exact_patterns`
-    order (also a deduped sample that drew every pattern) go through
-    `pair_space_norms`, any others through `masked_norms`.
-    """
+    """The model's norm per pattern: ||P_sigma A P_tau|| by `masked_norms`,
+    or for RademacherSigns the norm of the signed column outer-product sum."""
     if isinstance(model, RademacherSigns):
         return sign_sum_norms(a, patterns[0])
-    if isinstance(model, BernoulliPair) and _is_pair_space(patterns, model.n):
-        return pair_space_norms(a)
     return masked_norms(a, patterns[0], patterns[-1])
-
-
-def moment_stats(
-    values: np.ndarray, weights: np.ndarray, trials: int, p: float
-) -> tuple[float, float]:
-    """((E v^p)^(1/p), stderr) over patterns, scaled by max(v) for stability.
-
-    trials == 0 means `weights` are exact probabilities (stderr 0); otherwise
-    they are sample multiplicities summing to `trials`.
-    """
-    if trials:
-        return weighted_moment_stats(values, weights, trials, p)
-    vmax = float(values.max()) if values.size else 0.0
-    if vmax == 0.0:
-        return 0.0, 0.0
-    return vmax * float(np.sum(weights * (values / vmax) ** p)) ** (1.0 / p), 0.0
 
 
 def verdict(lhs: float, rhs: float, se: float, exact: bool) -> tuple[bool, float]:
@@ -442,7 +413,8 @@ def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
 
     The values come back read-only: they are reused by the next call on the
     same matrix bytes and pattern space (model type, n, and k for UniformK).
-    Weights are built per call.
+    Weights are built per call.  The whole BernoulliPair space goes through
+    `pair_space_norms`, every other space through `pattern_norms`.
     """
     global _last_norms
     _check_model_dim(a, model)
@@ -452,7 +424,10 @@ def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
     entry = _last_norms
     if entry is None or entry[0] != key:
         patterns, counts = _exact_space(model)
-        norms = pattern_norms(data, model, patterns)
+        if isinstance(model, BernoulliPair):
+            norms = pair_space_norms(data)
+        else:
+            norms = pattern_norms(data, model, patterns)
         norms.flags.writeable = False
         entry = _last_norms = (key, norms, counts)
     return entry[1], _exact_weights(model, entry[2])
@@ -468,7 +443,7 @@ def exact_moment(a: DenseMatrix, model: ProjectorModel, p: float) -> MomentEstim
         raise ParameterError(f"p must be positive, got {p}")
     values, weights = exact_pattern_values(a, model)
     return MomentEstimate(
-        value=moment_stats(values, weights, 0, p)[0],
+        value=weighted_moment_stats(values, weights, 0, p)[0],
         p=p, trials=0, stderr=0.0, seed=None, model=model,
     )
 
@@ -488,7 +463,7 @@ def mc_moment(
         raise ParameterError(f"need trials >= 2, got {trials}")
     _check_model_dim(a, model)
     patterns, counts = sampled_patterns(model, seed.rng("mc_moment", index), trials)
-    est, se = moment_stats(pattern_norms(a.data, model, patterns), counts, trials, p)
+    est, se = weighted_moment_stats(pattern_norms(a.data, model, patterns), counts, trials, p)
     return MomentEstimate(
         value=est, p=p, trials=trials, stderr=se, seed=seed, model=model
     )

@@ -4,7 +4,8 @@ For a symmetric contraction X and even p, the map s -> E trace(R_s X R_s)^p
 is a degree-p polynomial with no constant term that sandwiches the moment
 E ||R_s X R_s||^p between itself and an e^p multiple.  Markov's coefficient
 bound applied to that polynomial is what lets a moment measured at a small
-selection rate be extrapolated to a constant rate.
+selection rate be extrapolated to a constant rate.  Its coefficients are
+built exactly from per-size sums of subset traces, not fitted.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import extrapolation_bound, extrapolation_constant
-from .errors import CapacityError, ParameterError, PavelabError, PreconditionError
-from .matrices import DenseMatrix, max_abs_entry, spectral_norm
+from .errors import CapacityError, ParameterError, PreconditionError
+from .matrices import DenseMatrix, spectral_norm
 from .moments import (
     bernoulli_weights,
     exact_pattern_values,
@@ -120,39 +121,28 @@ def restricted_norm_moment_pth(x: DenseMatrix, p: int, s: float) -> float:
     return float(np.sum(weights * norms ** p))
 
 
-def _chebyshev_nodes_unit(count: int) -> np.ndarray:
-    i = np.arange(count)
-    return (np.cos((2 * i + 1) * math.pi / (2 * count)) + 1.0) / 2.0
-
-
 def trace_moment_polynomial(x: DenseMatrix, p) -> PolyCoefficients:
-    """Coefficients of s -> E trace (R_s X R_s)^p.
+    """Exact coefficients c_1..c_p of s -> E trace (R_s X R_s)^p.
 
-    Exact trace moments are evaluated at p+1 Chebyshev nodes in (0, 1) and
-    interpolated; the fitted constant term must vanish and the node residual
-    must stay below 1e-8 (checked, on the entry-normalized problem).
+    With H_j the sum of trace((X_S)^p) over the subsets S of size j,
+    E trace (R_s X R_s)^p = sum_j H_j s^j (1 - s)^(n - j), so
+    c_m = sum_{j <= min(m, n)} (-1)^(m - j) C(n - j, m - j) H_j.  H_0 = 0, and
+    c_m = 0 for m > p because a closed walk of length p visits at most p
+    coordinates, so the degree-p truncation is exact.
     """
     if not x.is_square:
         raise ParameterError("trace moments need a square matrix")
     if int(p) != p or p % 2 != 0 or p < 2 or p > TRACE_POLY_MAX_P:
         raise ParameterError(f"p must be even with 2 <= p <= {TRACE_POLY_MAX_P}")
-    p = int(p)
-    scale = max(1.0, max_abs_entry(x))
-    bits, traces, _ = subset_traces_and_norms(DenseMatrix(x.data / scale), p)
-    nodes = _chebyshev_nodes_unit(p + 1)
-    values = np.array(
-        [np.sum(bernoulli_weights(bits, s) * traces) for s in nodes]
+    p, n = int(p), x.n_rows
+    bits, traces, _ = subset_traces_and_norms(x, p)
+    sums = np.bincount(bits.sum(axis=1).astype(np.intp), weights=traces, minlength=n + 1)
+    coeffs = tuple(
+        float(sum((-1) ** (m - j) * math.comb(n - j, m - j) * sums[j]
+                  for j in range(1, min(m, n) + 1)))
+        for m in range(1, p + 1)
     )
-    vander = np.vander(nodes, p + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, values)
-    residual = float(np.max(np.abs(vander @ coeffs - values)))
-    if residual >= 1e-8:
-        raise PavelabError(f"interpolation residual {residual:g} exceeds 1e-8")
-    if abs(coeffs[0]) >= 1e-8:
-        raise PavelabError(f"constant term {coeffs[0]:g} should vanish")
-    return PolyCoefficients(
-        degree=p, coeffs=tuple(float(c) * scale ** p for c in coeffs[1:])
-    )
+    return PolyCoefficients(degree=p, coeffs=coeffs)
 
 
 def check_polynomial_sandwich(x: DenseMatrix, p, s_grid) -> SandwichReport:

@@ -85,6 +85,31 @@ def brute_force_sign_moment(a: np.ndarray, p: float) -> float:
     return (total / 2 ** n) ** (1.0 / p)
 
 
+def interpolated_trace_polynomial(x, p: int) -> np.ndarray:
+    """c_1..c_p of s -> E trace (R_s X R_s)^p by interpolation (reference).
+
+    Exact trace moments of the entry-normalized matrix are evaluated at p+1
+    Chebyshev nodes in (0, 1) and fitted by a Vandermonde solve; the node
+    residual must stay below 1e-8 and the fitted constant term must vanish.
+    """
+    x = np.array(x, dtype=float)
+    n = x.shape[0]
+    scale = max(1.0, float(np.abs(x).max()))
+    bits = np.array(list(itertools.product([0.0, 1.0], repeat=n))).reshape(-1, n)
+    stack = (x / scale)[None, :, :] * bits[:, :, None] * bits[:, None, :]
+    traces = np.einsum("bii->b", np.linalg.matrix_power(stack, p))
+    sizes = bits.sum(axis=1)
+    i = np.arange(p + 1)
+    nodes = (np.cos((2 * i + 1) * math.pi / (2 * (p + 1))) + 1.0) / 2.0
+    values = np.array([np.sum(s ** sizes * (1 - s) ** (n - sizes) * traces) for s in nodes])
+    vander = np.vander(nodes, p + 1, increasing=True)
+    coeffs = np.linalg.solve(vander, values)
+    residual = float(np.max(np.abs(vander @ coeffs - values)))
+    assert residual < 1e-8, f"interpolation residual {residual:g} exceeds 1e-8"
+    assert abs(coeffs[0]) < 1e-8, f"constant term {coeffs[0]:g} should vanish"
+    return coeffs[1:] * scale ** p
+
+
 def all_set_partitions(n: int, m: int):
     """Every partition of range(n) into exactly m nonempty blocks (reference)."""
     if m == 0:

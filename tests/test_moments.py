@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,19 +308,26 @@ class TestPatternNormReuse:
 
     @staticmethod
     def _fresh(a, model):
+        if isinstance(model, BernoulliPair):
+            return moments.pair_space_norms(a.data)
         return moments.pattern_norms(a.data, model, moments.exact_patterns(model)[0])
 
     @pytest.fixture
     def counted(self, monkeypatch):
         monkeypatch.setattr(moments, "_last_norms", None)
         calls = []
-        real = moments.pattern_norms
+        real, real_pair = moments.pattern_norms, moments.pair_space_norms
 
         def counting(a, model, patterns):
             calls.append(model)
             return real(a, model, patterns)
 
+        def counting_pair(a):
+            calls.append("pair")
+            return real_pair(a)
+
         monkeypatch.setattr(moments, "pattern_norms", counting)
+        monkeypatch.setattr(moments, "pair_space_norms", counting_pair)
         return calls
 
     @pytest.mark.parametrize("model", _LAYER_MODELS)
@@ -437,17 +445,29 @@ class TestPairSpaceNorms:
         got = moments.pair_space_norms(a)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
-    def test_pattern_norms_takes_kernel_for_whole_space_only(self, rng):
+    def test_kernel_is_chosen_by_model(self, monkeypatch, rng):
         a = rng.uniform(-1.0, 1.0, (5, 5))
         model = BernoulliPair(5, 0.3)
         rows, cols = moments.exact_patterns(model)[0]
-        assert np.array_equal(
-            moments.pattern_norms(a, model, (rows, cols)), moments.pair_space_norms(a)
-        )
-        for part in [(rows[::-1], cols[::-1]), (rows, cols[::-1]), (rows[::-1], cols)]:
+        layouts = [(rows, cols), (rows[::-1], cols[::-1]), (rows, cols[::-1]), (rows[::-1], cols)]
+        for part in layouts:  # patterns alone never select the pair kernel
             assert np.array_equal(
                 moments.pattern_norms(a, model, part), masked_norms(a, *part)
             )
+        monkeypatch.setattr(moments, "_last_norms", None)
+        values, _ = moments.exact_pattern_values(DenseMatrix(a), model)
+        assert np.array_equal(values, moments.pair_space_norms(a))
+
+    def test_cold_exact_pair_call_builds_no_pair_rows(self, monkeypatch, rng):
+        monkeypatch.setattr(moments, "_last_norms", None)
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (8, 8)))
+        tracemalloc.start()
+        try:
+            moments.exact_pattern_values(a, BernoulliPair(8, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000  # the two 4^8 x 8 float64 pair mask arrays take 8.4 MB
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_exact_moment_matches_brute_force(self, rng, n):

@@ -20,6 +20,8 @@ from pavelab.polynomials import (
     restricted_trace_moment,
 )
 
+from .oracles import interpolated_trace_polynomial
+
 
 def _symmetric_contraction(rng, n):
     m = rng.uniform(-1, 1, (n, n))
@@ -59,6 +61,23 @@ class TestTraceMomentPolynomial:
         pc = trace_moment_polynomial(x, p)
         full = float(np.trace(np.linalg.matrix_power(x.data, p)))
         assert sum(pc.coeffs) == pytest.approx(full, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_interpolation_oracle(self, rng, n):
+        x = rng.uniform(-1, 1, (n, n))
+        for p in range(2, 13, 2):
+            got = np.array(trace_moment_polynomial(DenseMatrix(x), p).coeffs)
+            want = interpolated_trace_polynomial(x, p)
+            tol = 1e-6 * max(1.0, float(np.abs(want).max()))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol), (n, p)
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (1, 12), (3, 8), (5, 12), (11, 12)])
+    def test_coefficients_past_n_are_exactly_zero(self, rng, n, p):
+        pc = trace_moment_polynomial(DenseMatrix(rng.uniform(-1, 1, (n, n))), p)
+        assert pc.degree == p and len(pc.coeffs) == p
+        assert all(c == 0.0 for c in pc.coeffs[n:])
+        assert pc.coeffs[min(n, p) - 1] != 0.0
 
     def test_rejects_odd_p(self):
         with pytest.raises(ParameterError):
