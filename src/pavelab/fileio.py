@@ -4,30 +4,39 @@ Matrix format: first line "n_rows n_cols", then one line per row of
 space-separated decimal literals.  The writer emits 17 significant digits so
 files round-trip float64 exactly; the parser accepts scientific notation.
 
+The matrix body is parsed in bulk: one `np.loadtxt` call over the n_rows body
+lines, kept only when it yields exactly an n_rows x n_cols array.  loadtxt
+accepts a subset of what `float()` accepts and converts it to the same bits,
+so on any other input (tabs, repeated or edge spaces, `1_0`, non-ASCII
+digits, a malformed token, a short or long row) the per-row loop decides.
+That loop defines the grammar (whitespace-split tokens, each read by
+`float()`) and is the only source of the row-numbered error messages.  The
+writer formats each row with one `%` on a row template.
+
 Partition format: one line per block of space-separated indices, blocks
 ordered by smallest element.
 
 Every writer goes through `write_text`, which replaces the target atomically.
+A file that does not decode as text is a `FormatError` naming the file.
 """
 from __future__ import annotations
 
 import contextlib
 import os
 import stat
+import warnings
+
+import numpy as np
 
 from .errors import FormatError
 from .matrices import DenseMatrix, Partition
 
 
-def format_float(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def matrix_to_text(a: DenseMatrix) -> str:
-    lines = [f"{a.n_rows} {a.n_cols}"]
-    for row in a.data:
-        lines.append(" ".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    row_format = " ".join(["%.17g"] * a.n_cols) + "\n"
+    lines = [f"{a.n_rows} {a.n_cols}\n"]
+    lines.extend(row_format % tuple(row.tolist()) for row in a.data)
+    return "".join(lines)
 
 
 def matrix_from_text(text: str) -> DenseMatrix:
@@ -46,18 +55,41 @@ def matrix_from_text(text: str) -> DenseMatrix:
     body = lines[1:]
     if len(body) < n_rows:
         raise FormatError(f"expected {n_rows} rows, found {len(body)}")
-    rows = []
-    for i in range(n_rows):
-        toks = body[i].split()
-        if len(toks) != n_cols:
-            raise FormatError(f"row {i}: expected {n_cols} entries, got {len(toks)}")
-        try:
-            rows.append([float(t) for t in toks])
-        except ValueError as exc:
-            raise FormatError(f"row {i}: non-numeric entry") from exc
-    import numpy as np
+    data = _parse_bulk(body[:n_rows], (n_rows, n_cols)) if n_rows and n_cols else None
+    if data is None:
+        rows = []
+        for i in range(n_rows):
+            toks = body[i].split()
+            if len(toks) != n_cols:
+                raise FormatError(f"row {i}: expected {n_cols} entries, got {len(toks)}")
+            try:
+                rows.append([float(t) for t in toks])
+            except ValueError as exc:
+                raise FormatError(f"row {i}: non-numeric entry") from exc
+        data = np.array(rows, dtype=float).reshape(n_rows, n_cols)
+    return DenseMatrix(data)
 
-    return DenseMatrix(np.array(rows, dtype=float).reshape(n_rows, n_cols))
+
+def _parse_bulk(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
+    """`lines` parsed in one call, or None where the per-row loop must decide."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-blank body warns; the loop rejects it
+            data = np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == shape else None
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{os.fspath(path)}: not {exc.encoding} text "
+                f"({exc.reason} at byte {exc.start})"
+            ) from None
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
@@ -106,8 +138,7 @@ def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
 
 
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
-    with open(path) as fh:
-        return matrix_from_text(fh.read())
+    return matrix_from_text(_read_text(path))
 
 
 def partition_to_text(part: Partition) -> str:
@@ -137,15 +168,14 @@ def write_partition(part: Partition, path: str | os.PathLike) -> None:
 def read_config(path: str | os.PathLike) -> dict:
     """key=value lines; '#' starts a comment; values become int/float/str."""
     opts: dict = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"config line without '=': {raw.rstrip()!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            opts[key.replace("-", "_")] = _coerce(value)
+    for raw in _read_text(path).split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"config line without '=': {raw.rstrip()!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        opts[key.replace("-", "_")] = _coerce(value)
     return opts
 
 

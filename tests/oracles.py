@@ -1,7 +1,9 @@
 """Independent test oracles: one-sided Jacobi SVD and brute-force helpers.
 
 These deliberately avoid np.linalg.svd so the production norm path is
-cross-checked against a different algorithm.
+cross-checked against a different algorithm.  The matrix text reference
+parser and writer are the plain per-token loops the bulk `fileio` code must
+match bit for bit and byte for byte.
 """
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import itertools
 import math
 
 import numpy as np
+
+from pavelab import DenseMatrix, FormatError
 
 
 def jacobi_singular_values(a, tol=1e-14, max_sweeps=100) -> np.ndarray:
@@ -138,3 +142,44 @@ def all_set_partitions(n: int, m: int):
         if key not in seen:
             seen.add(key)
             yield key
+
+
+def format_float(x: float) -> str:
+    return "%.17g" % float(x)
+
+
+def matrix_to_text(a: DenseMatrix) -> str:
+    """The matrix file text, one `format_float` per entry (reference)."""
+    lines = [f"{a.n_rows} {a.n_cols}"]
+    for row in a.data:
+        lines.append(" ".join(format_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_from_text(text: str) -> DenseMatrix:
+    """The matrix file parsed row by row, one `float()` per token (reference)."""
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("empty matrix file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'n_rows n_cols', got {lines[0]!r}")
+    try:
+        n_rows, n_cols = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"bad header {lines[0]!r}") from exc
+    if n_rows < 0 or n_cols < 0:
+        raise FormatError("negative dimensions")
+    body = lines[1:]
+    if len(body) < n_rows:
+        raise FormatError(f"expected {n_rows} rows, found {len(body)}")
+    rows = []
+    for i in range(n_rows):
+        toks = body[i].split()
+        if len(toks) != n_cols:
+            raise FormatError(f"row {i}: expected {n_cols} entries, got {len(toks)}")
+        try:
+            rows.append([float(t) for t in toks])
+        except ValueError as exc:
+            raise FormatError(f"row {i}: non-numeric entry") from exc
+    return DenseMatrix(np.array(rows, dtype=float).reshape(n_rows, n_cols))

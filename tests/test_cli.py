@@ -16,6 +16,8 @@ from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN
 from pavelab.fileio import read_matrix, write_matrix
 from pavelab.sampling import Bernoulli, gen_ensemble
 
+from . import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -47,6 +49,12 @@ class TestGen:
         run(capsys, "gen", "sign", "8", "--seed", "7", "--out", str(p1))
         run(capsys, "gen", "sign", "8", "--seed", "7", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_artifact_is_reference_text(self, capsys, tmp_path):
+        path = tmp_path / "s64.txt"
+        assert run(capsys, "gen", "sign", "64", "--seed", "3", "--out", str(path))[0] == EXIT_OK
+        a = gen_ensemble("sign_normalized", 64, Seed(3))
+        assert path.read_text() == oracles.matrix_to_text(a)
 
     def test_hex_seed(self, capsys, tmp_path):
         code, _, _ = run(
@@ -144,6 +152,14 @@ class TestPave:
             capsys, "pave", str(bad), "-m", "2", "--out", str(tmp_path / "p.txt")
         )
         assert code == EXIT_USAGE and "error" in err
+
+    def test_binary_input_exit_2(self, capsys, tmp_path):
+        src, out_path = tmp_path / "a.npy", tmp_path / "p.txt"
+        np.save(src, np.eye(4))
+        code, out, err = run(capsys, "pave", str(src), "-m", "2", "--out", str(out_path))
+        assert code == EXIT_USAGE and f"error: {src}: not " in err
+        assert out == ""
+        assert not out_path.exists()
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run(
@@ -381,6 +397,14 @@ class TestConfig:
         run(capsys, "--config", str(cfg), "gen", "sign", "8", "--seed", "9", "--out", str(p1))
         run(capsys, "gen", "sign", "8", "--seed", "9", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_binary_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe" + "seed=5\n".encode("utf-16-le"))
+        code, out, err = run(capsys, "--config", str(cfg), "bound", "mu",
+                             "--n", "16", "--gamma", "1")
+        assert code == EXIT_USAGE and f"error: {cfg}: not " in err
+        assert out == ""
 
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "--config", str(tmp_path / "nope.cfg"), "bound", "mu",
