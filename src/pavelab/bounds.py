@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -13,7 +14,10 @@ def paving_size_bound(gamma: float, eps: float) -> float:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    return (0.01 * eps) ** (-2.0 * (1.0 + gamma) / gamma)
+    try:
+        return (0.01 * eps) ** (-2.0 * (1.0 + gamma) / gamma)
+    except (OverflowError, ZeroDivisionError):  # past float range (or 0.01 eps underflowed)
+        return math.inf
 
 
 def mu_bound(n: int, gamma: float) -> float:
@@ -39,7 +43,9 @@ def khintchine_constant(p: float) -> tuple[float | None, float]:
     """(exact constant for even p, upper bound) for matrix Rademacher sums.
 
     Even p: ((p)! / (2^(p/2) (p/2)!))^(1/p), evaluated from exact integer
-    factorials.  The bound 2^(-1/4) sqrt(pi/e) sqrt(p) covers every p >= 2.
+    factorials while that ratio is a finite float (p <= 300) and from `lgamma`
+    past it; None past lgamma's range (p above about 2.5e305).  The bound
+    2^(-1/4) sqrt(pi/e) sqrt(p) covers every p >= 2.
     """
     if p < 2:
         raise ParameterError(f"need p >= 2, got {p}")
@@ -47,8 +53,15 @@ def khintchine_constant(p: float) -> tuple[float | None, float]:
     exact = None
     if p == int(p) and int(p) % 2 == 0:
         half = int(p) // 2
-        ratio = math.factorial(int(p)) // (2 ** half * math.factorial(half))
-        exact = float(ratio) ** (1.0 / p)
+        try:
+            log_ratio = math.lgamma(p + 1.0) - math.lgamma(half + 1.0) - half * math.log(2.0)
+        except OverflowError:
+            return None, bound
+        if log_ratio < math.log(sys.float_info.max):
+            ratio = math.factorial(int(p)) // (2 ** half * math.factorial(half))
+            exact = float(ratio) ** (1.0 / p)
+        else:
+            exact = math.exp(log_ratio / p)
         if exact > bound:
             raise ParameterError(
                 f"factorial constant {exact} exceeds its bound {bound} at p={p}"
@@ -65,6 +78,8 @@ def haagerup_constant(q: float) -> float:
 
 def rudelson_bound(p: float, col_norm: float, spec_norm: float) -> float:
     """1.5 sqrt(p) ||X||_{1,2} ||X|| for Rademacher column outer-product sums."""
+    if p < 0:
+        raise ParameterError(f"need p >= 0, got {p}")
     return 1.5 * math.sqrt(p) * col_norm * spec_norm
 
 
@@ -153,6 +168,8 @@ def theorem_pipeline(
         raise ParameterError(f"chain is stated for n >= 8, got {n}")
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
+    if math.isinf(2.0 + 2.0 * gamma):
+        raise ParameterError(f"gamma too large: 2 + 2 gamma overflows at {gamma}")
     if (delta is None) == (m is None):
         raise ParameterError("give exactly one of delta or m")
     if m is not None:
@@ -172,8 +189,11 @@ def theorem_pipeline(
     final_bound = 100.0 * delta ** lam
     # smallest dyadic n at which 48000 (log n)^log_exponent <= 40 delta^lam,
     # i.e. where extrap_bound <= final_bound; reported as log2(n*).  Computed
-    # in log space; inf when n* escapes float range (tiny gamma).
-    ln_log_n_star = math.log(1200.0 / delta ** lam) / abs(log_exponent)
+    # in log space; inf when n* escapes float range (tiny gamma, or a
+    # log_exponent that rounds to 0 at huge gamma).
+    ln_log_n_star = math.inf
+    if log_exponent:
+        ln_log_n_star = math.log(1200.0 / delta ** lam) / abs(log_exponent)
     if ln_log_n_star > 700.0:
         log2_n_threshold = math.inf
     else:

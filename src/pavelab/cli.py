@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import NamedTuple
-
-import numpy as np
 
 from . import bounds, fileio, suites
-from .errors import CapacityError, FormatError, ParameterError, PavelabError
+from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
 from .inequalities import CASE_IDS, format_report, verify_inequality
 from .matrices import (
     DenseMatrix,
@@ -26,7 +23,12 @@ from .matrices import (
 )
 from .moments import EXACT_BERNOULLI_MAX_N, moment
 from .paving import pad_to_multiple, random_pave
-from .polynomials import check_markov, check_polynomial_sandwich, chebyshev_coefficients
+from .polynomials import (
+    check_markov,
+    check_polynomial_sandwich,
+    chebyshev_coefficients,
+    extrapolation_hypotheses,
+)
 from .sampling import ENSEMBLE_KINDS, Bernoulli, gen_ensemble, parse_seed
 
 EXIT_OK = 0
@@ -219,63 +221,6 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _estimate(a, rate, p, method, trials, seed, index):
-    n = a.n_rows
-    if method == "auto":
-        method = "exact" if n <= EXACT_BERNOULLI_MAX_N else "mc"
-    return moment(a, Bernoulli(n, rate), p, method, trials, seed, index)
-
-
-class _BoundInputs(NamedTuple):
-    """Per-matrix inputs of the scan bound columns, computed once per scan.
-
-    `rho_ref` is None when the extrapolation bound is out of scope for the
-    matrix (n < 3, rho_ref outside (0, 0.5), or ||A|| > 1); then `lam` and
-    `constant` are nan.
-    """
-
-    mu: float
-    rho_ref: float | None
-    lam: float
-    constant: float
-
-
-def _bound_inputs(a, gamma) -> _BoundInputs:
-    n = a.n_rows
-    mu = max_abs_entry(a)
-    if n >= 3:
-        rho_ref = bounds.reference_rate(n, gamma)
-        if 0.0 < rho_ref < 0.5 and spectral_norm(a) <= 1.0 + 1e-9:
-            symmetric = np.array_equal(a.data, a.data.T)
-            return _BoundInputs(
-                mu, rho_ref, bounds.extrapolation_exponent(gamma),
-                bounds.extrapolation_constant(symmetric),
-            )
-    return _BoundInputs(mu, None, math.nan, math.nan)
-
-
-def _scan_bounds(a, rate, p, method, trials, seed, index, inputs):
-    """step3 and extrapolation bound columns for one row; nan when out of scope.
-
-    The caller supplies the matrix's `_bound_inputs`.
-    """
-    n = a.n_rows
-    try:
-        s3 = bounds.step3_bound(inputs.mu, rate, n)
-    except ParameterError:
-        s3 = math.nan
-    extrap = math.nan
-    rho_ref = inputs.rho_ref
-    if (
-        rho_ref is not None
-        and 0.0 < rate < 1.0
-        and p == int(p) and int(p) % 2 == 0 and p >= 2 * math.log(n)
-    ):
-        ref = _estimate(a, rho_ref, p, method, trials, seed, index)
-        extrap = bounds.extrapolation_bound(inputs.constant, rate, rho_ref, inputs.lam, ref.value)
-    return s3, extrap
-
-
 def _cmd_scan(args) -> int:
     if args.gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {args.gamma}")
@@ -284,7 +229,13 @@ def _cmd_scan(args) -> int:
         raise ParameterError("scan needs a square matrix")
     seed = parse_seed(args.seed)
     grid = _parse_grid(args.grid)
-    inputs = _bound_inputs(a, args.gamma)
+    n = a.n_rows
+    method = args.method
+    if method == "auto":
+        method = "exact" if n <= EXACT_BERNOULLI_MAX_N else "mc"
+    mu, norm = max_abs_entry(a), spectral_norm(a)
+    rho_ref = bounds.reference_rate(n, args.gamma) if n >= 3 else math.nan
+    lam = bounds.extrapolation_exponent(args.gamma)
     rows = []
     for i, value in enumerate(grid):
         if args.vary in ("rho", "delta"):
@@ -297,10 +248,18 @@ def _cmd_scan(args) -> int:
                 raise ParameterError(f"p grid value {p} must be a positive integer")
             if rate is None:
                 raise ParameterError("--rate is required when varying p")
-        est = _estimate(a, rate, p, args.method, args.trials, seed, 2 * i)
-        s3, extrap = _scan_bounds(
-            a, rate, p, args.method, args.trials, seed, 2 * i + 1, inputs
-        )
+        est = moment(a, Bernoulli(n, rate), p, method, args.trials, seed, 2 * i)
+        try:
+            s3 = bounds.step3_bound(mu, rate, n)
+        except ParameterError:
+            s3 = math.nan
+        try:
+            _, constant = extrapolation_hypotheses(a, norm, rate, rho_ref, lam, p)
+        except PreconditionError:
+            extrap = math.nan
+        else:
+            ref = moment(a, Bernoulli(n, rho_ref), p, method, args.trials, seed, 2 * i + 1)
+            extrap = bounds.extrapolation_bound(constant, rate, rho_ref, lam, ref.value)
         rows.append(
             f"{args.vary},{_fmt(value)},{'%.12g' % p},{_fmt(est.value)},"
             f"{_fmt(est.stderr)},{est.trials},{seed.master},{_fmt(s3)},{_fmt(extrap)}"

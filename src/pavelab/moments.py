@@ -113,18 +113,6 @@ def subset_bits(n: int, k: int) -> np.ndarray:
     return bits
 
 
-def batch_spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value per matrix of a (B, r, c) stack."""
-    if stack.shape[0] == 0:
-        return np.zeros(0)
-    step = _chunk_rows(stack.shape[1], stack.shape[2])
-    out = np.empty(stack.shape[0])
-    for start in range(0, stack.shape[0], step):
-        part = stack[start:start + step]
-        out[start:start + part.shape[0]] = np.linalg.svd(part, compute_uv=False)[:, 0]
-    return out
-
-
 # Scaled squared norms below this go through `masked_norms`: the Gram of a
 # block this far below the matrix's largest entry (scaled to [1/2, 1)) may
 # hold subnormal or flushed-to-zero squares.
@@ -211,8 +199,8 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
 
     The norm is that of the gathered |sigma| x |tau| submatrix.  Patterns are
     bucketed by (row count, column count), and each bucket's submatrices are
-    factored as one stack, chunked as in `batch_spectral_norms`; patterns with
-    an empty side are 0.  Results come back in input order.
+    factored as one stack in chunks of `_chunk_rows(r, c)`; patterns with an
+    empty side are 0.  Results come back in input order.
     """
     rows = np.asarray(row_bits) != 0
     cols = np.asarray(col_bits) != 0
@@ -233,7 +221,8 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
             sel = bucket[start:start + step]
             ri = np.nonzero(rows[sel])[1].reshape(-1, r)
             ci = np.nonzero(cols[sel])[1].reshape(-1, c)
-            out[sel] = batch_spectral_norms(a[ri[:, :, None], ci[:, None, :]])
+            stack = a[ri[:, :, None], ci[:, None, :]]
+            out[sel] = np.linalg.svd(stack, compute_uv=False)[:, 0]
     return out
 
 

@@ -6,6 +6,10 @@ E ||R_s X R_s||^p between itself and an e^p multiple.  Markov's coefficient
 bound applied to that polynomial is what lets a moment measured at a small
 selection rate be extrapolated to a constant rate.  Its coefficients are
 built exactly from per-size sums of subset traces, not fitted.
+
+`extrapolation_hypotheses` is the one statement of when that extrapolation
+bound holds and of its constant C: `check_extrapolation`, the EXTRAP
+inequality case and the `extrap_bound` column of `scan` all call it.
 """
 from __future__ import annotations
 
@@ -239,6 +243,29 @@ def chebyshev_coefficients(d: int) -> list[int]:
     return cur
 
 
+def extrapolation_hypotheses(
+    x: DenseMatrix, norm: float, delta: float, rho: float, lam: float, p
+) -> tuple[int, float]:
+    """(even p, C) for the extrapolation bound, or PreconditionError.
+
+    The bound needs X square with ||X|| = `norm` <= 1, delta in (0, 1),
+    rho in (0, 1/2), lam in (0, 1) and even p >= 2 log n; C = 60, halved
+    for symmetric X.
+    """
+    if not x.is_square:
+        raise PreconditionError("extrapolation: needs a square matrix")
+    if norm > 1.0 + 1e-9:
+        raise PreconditionError("extrapolation: needs ||X|| <= 1")
+    if not 0.0 < delta < 1.0:
+        raise PreconditionError(f"extrapolation: delta must be in (0, 1), got {delta}")
+    if not 0.0 < rho < 0.5:
+        raise PreconditionError(f"extrapolation: rho must be in (0, 0.5), got {rho}")
+    if not 0.0 < lam < 1.0:
+        raise PreconditionError(f"extrapolation: lambda must be in (0, 1), got {lam}")
+    p = _check_even_p(p, x.n_rows, "extrapolation")
+    return p, extrapolation_constant(_is_symmetric(x))
+
+
 def check_extrapolation(
     x: DenseMatrix,
     delta: float,
@@ -253,21 +280,10 @@ def check_extrapolation(
 
     lhs = (E ||R_delta X R_delta||^p)^(1/p) against
     rhs = C [delta^lam + rho^(-lam) (E ||R_rho X R_rho||^p)^(1/p)],
-    with C = 60, halved for symmetric inputs.
+    under `extrapolation_hypotheses`.
     """
-    if not x.is_square:
-        raise PreconditionError("extrapolation: needs a square matrix")
+    p, constant = extrapolation_hypotheses(x, spectral_norm(x), delta, rho, lam, p)
     n = x.n_rows
-    if spectral_norm(x) > 1.0 + 1e-9:
-        raise PreconditionError("extrapolation: needs ||X|| <= 1")
-    if not 0.0 < delta < 1.0:
-        raise PreconditionError(f"extrapolation: delta must be in (0, 1), got {delta}")
-    if not 0.0 < rho < 0.5:
-        raise PreconditionError(f"extrapolation: rho must be in (0, 0.5), got {rho}")
-    if not 0.0 < lam < 1.0:
-        raise PreconditionError(f"extrapolation: lambda must be in (0, 1), got {lam}")
-    p = _check_even_p(p, n, "extrapolation")
-    constant = extrapolation_constant(_is_symmetric(x))
     est_l = moment(x, Bernoulli(n, delta), p, method, trials, seed, index=0)
     est_r = moment(x, Bernoulli(n, rho), p, method, trials, seed, index=1)
     lhs, trials = est_l.value, est_l.trials

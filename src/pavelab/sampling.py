@@ -33,6 +33,8 @@ class Seed:
         object.__setattr__(self, "master", int(self.master))
 
     def rng(self, label: str, index: int = 0) -> np.random.Generator:
+        if index < 0:
+            raise ParameterError(f"stream index must be nonnegative, got {index}")
         key = int.from_bytes(
             hashlib.blake2b(label.encode("utf8"), digest_size=8).digest(), "big"
         )

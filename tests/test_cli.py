@@ -10,8 +10,8 @@ import pytest
 
 import pavelab
 
-from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, spectral_norm
-from pavelab import fileio, moments
+from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, mc_moment, spectral_norm
+from pavelab import bounds, fileio, moments
 from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN_HEADER, main
 from pavelab.fileio import read_matrix, write_matrix
 from pavelab.sampling import Bernoulli, gen_ensemble
@@ -78,6 +78,12 @@ class TestGen:
         )
         assert code == EXIT_USAGE and "error" in err
         assert not path.exists()
+
+    def test_negative_index_writes_no_file(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        code, out, err = run(capsys, "gen", "sign", "8", "--index", "-1", "--out", str(path))
+        assert code == EXIT_USAGE and err.startswith("error: stream index")
+        assert out == "" and not path.exists()
 
 
 class TestPave:
@@ -287,6 +293,91 @@ class TestScan:
             assert out == "" and not out_csv.exists()
 
 
+def _symmetric_contraction(n: int) -> DenseMatrix:
+    m = Seed(4).rng("test:sym").uniform(-1.0, 1.0, (n, n))
+    m = m + m.T
+    return DenseMatrix(m / np.linalg.norm(m, 2))
+
+
+_SIGN5 = gen_ensemble("sign_normalized", 5, Seed(3))
+
+
+class TestScanBoundColumns:
+    """When each bound column of `scan` is nan, and what it holds otherwise.
+
+    Each case is (matrix, flags, step3 column, extrap column): "nan" for nan,
+    "step3" for `bounds.step3_bound(max|a_ij|, rate, n)`, and C = 30 or 60 for
+    `extrapolation_bound(C, rate, rho_ref, lambda, exact reference moment)`.
+    """
+
+    CASES = {
+        "n2": (gen_ensemble("sign_normalized", 2, Seed(3)),
+               ("--vary", "rho", "--grid", "0.3", "--p", "4"), ["nan"], ["nan"]),
+        "n5": (_SIGN5, ("--vary", "rho", "--grid", "0.1,0.3", "--p", "4"),
+               ["nan"] * 2, [60.0] * 2),
+        "n5-symmetric": (_symmetric_contraction(5),
+                         ("--vary", "delta", "--grid", "0.3", "--p", "4"), ["nan"], [30.0]),
+        "n8": (gen_ensemble("sign_normalized", 8, Seed(3)),
+               ("--vary", "rho", "--grid", "0.3", "--p", "6"), ["step3"], [60.0]),
+        "norm2": (DenseMatrix(2.0 * _SIGN5.data),
+                  ("--vary", "rho", "--grid", "0.3", "--p", "4"), ["nan"], ["nan"]),
+        "odd-p": (_SIGN5, ("--vary", "rho", "--grid", "0.3", "--p", "5"), ["nan"], ["nan"]),
+        "rates-0-1": (_SIGN5, ("--vary", "rho", "--grid", "0,1", "--p", "4"),
+                      ["nan"] * 2, ["nan"] * 2),
+        "vary-p": (_SIGN5, ("--vary", "p", "--rate", "0.3", "--grid", "2,3,4"),
+                   ["nan"] * 3, ["nan", "nan", 60.0]),
+        "rho-ref-over-half": (_SIGN5, ("--vary", "rho", "--grid", "0.3", "--p", "4",
+                                       "--gamma", "0.1"), ["nan"], ["nan"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bound_columns(self, capsys, tmp_path, name):
+        a, flags, step3, extrap = self.CASES[name]
+        src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
+        write_matrix(a, src)
+        code, _, _ = run(capsys, "scan", str(src), *flags, "--seed", "2",
+                         "--method", "exact", "--out", str(out_csv))
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert len(rows) == len(step3) == len(extrap)
+        a, n = read_matrix(src), a.n_rows
+        gamma = float(flags[flags.index("--gamma") + 1]) if "--gamma" in flags else 1.0
+        for cells, s3_kind, extrap_kind in zip(rows, step3, extrap):
+            rate = float(cells[1]) if flags[1] != "p" else 0.3
+            p = float(cells[2])
+            s3, bound = float(cells[7]), float(cells[8])
+            if s3_kind == "nan":
+                assert math.isnan(s3)
+            else:
+                assert s3 == bounds.step3_bound(float(np.max(np.abs(a.data))), rate, n)
+            if extrap_kind == "nan":
+                assert math.isnan(bound)
+                continue
+            rho_ref = bounds.reference_rate(n, gamma)
+            ref = exact_moment(a, Bernoulli(n, rho_ref), p).value
+            lam = bounds.extrapolation_exponent(gamma)
+            assert bound == bounds.extrapolation_bound(extrap_kind, rate, rho_ref, lam, ref)
+
+    def test_monte_carlo_streams(self, capsys, tmp_path):
+        """Row i estimates on stream 2i and its reference moment on 2i + 1."""
+        src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
+        write_matrix(_SIGN5, src)
+        code, _, _ = run(capsys, "scan", str(src), "--vary", "rho", "--grid", "0.1,0.3",
+                         "--p", "4", "--seed", "2", "--method", "mc", "--trials", "40",
+                         "--out", str(out_csv))
+        assert code == EXIT_OK
+        a, rho_ref = read_matrix(src), bounds.reference_rate(5, 1.0)
+        lam = bounds.extrapolation_exponent(1.0)
+        for i, line in enumerate(out_csv.read_text().splitlines()[1:]):
+            cells = line.split(",")
+            rate = float(cells[1])
+            est = mc_moment(a, Bernoulli(5, rate), 4.0, 40, Seed(2), 2 * i)
+            ref = mc_moment(a, Bernoulli(5, rho_ref), 4.0, 40, Seed(2), 2 * i + 1)
+            assert float(cells[3]) == est.value
+            extrap = bounds.extrapolation_bound(60.0, rate, rho_ref, lam, ref.value)
+            assert float(cells[8]) == extrap
+
+
 class TestScanEnumeratesOnce:
     """An exact scan computes the pattern norms of its matrix once."""
 
@@ -379,6 +470,42 @@ class TestBound:
     def test_missing_params_exit_2(self, capsys):
         code, _, _ = run(capsys, "bound", "paving-size", "--gamma", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, line", [
+        (("paving-size", "--gamma", "1e-3", "--eps", "0.5"), "paving_size_bound = inf"),
+        (("pipeline", "--n", "1024", "--gamma", "1e300", "--m", "16"),
+         "log2_n_threshold = inf (artifact surrogate)"),
+        (("khintchine", "--p", "1e308"), "khintchine_exact = -"),
+    ])
+    def test_overflow_prints_inf_or_dash(self, capsys, argv, line):
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == EXIT_OK and line in out.splitlines()
+
+    def test_khintchine_past_float_factorials(self, capsys):
+        # (p - 1)!! = p! / (2^(p/2) (p/2)!) exceeds float range from p = 302
+        code, out, _ = run(capsys, "bound", "khintchine", "--p", "400")
+        assert code == EXIT_OK
+        exact = float(out.splitlines()[0].split(" = ")[1])
+        log_ratio = sum(math.log(k) for k in range(1, 400, 2))
+        assert exact == pytest.approx(math.exp(log_ratio / 400), rel=1e-13)
+
+    def test_khintchine_large_p_in_bounded_time(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pavelab.cli", "bound", "khintchine", "--p", "2e6"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pavelab.__file__))},
+        )
+        assert proc.returncode == EXIT_OK
+        exact = float(proc.stdout.splitlines()[0].split(" = ")[1])
+        assert exact == pytest.approx(math.sqrt(2e6 / math.e), rel=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("rudelson", "--p", "-1", "--col-norm", "1", "--spec-norm", "1"),
+        ("pipeline", "--n", "1024", "--gamma", "1e308", "--m", "16"),
+    ])
+    def test_out_of_range_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == EXIT_USAGE and err.startswith("error:") and out == ""
 
 
 class TestConfig:

@@ -200,6 +200,21 @@ class TestExtrap:
         assert dict(rep.notes)["constant"] == 30.0
         assert rep.holds
 
+    @pytest.mark.parametrize("change", [
+        {"matrix": DenseMatrix(np.ones((4, 5)) / 5.0)},
+        {"matrix": DenseMatrix(2.0 * np.eye(4))},
+        {"delta": None}, {"delta": 0.0}, {"delta": 1.0},
+        {"rho": None}, {"rho": 0.0}, {"rho": 0.5},
+        {"lam": None}, {"lam": 0.0}, {"lam": 1.0},
+        {"p": 3.0}, {"p": 4.5}, {"p": 0.0}, {"p": 2.0},
+    ])
+    def test_each_failed_hypothesis_raises(self, change):
+        # p = 2 < 2 log 4; every other field is in range
+        fields = {"matrix": DenseMatrix(np.eye(4) / 2.0), "delta": 0.5, "rho": 0.25,
+                  "lam": 0.5, "p": 4.0}
+        with pytest.raises(PreconditionError):
+            verify_inequality("EXTRAP", InequalityInstance(**{**fields, **change}))
+
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_twenty_seeded_instances_hold(case_id):

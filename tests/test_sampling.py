@@ -8,6 +8,7 @@ from pavelab import (
     Bernoulli,
     BernoulliPair,
     CoordinateSet,
+    DenseMatrix,
     ParameterError,
     RademacherSigns,
     Seed,
@@ -15,6 +16,7 @@ from pavelab import (
     binomial_median_bracket,
     gen_ensemble,
     max_abs_entry,
+    mc_moment,
     parse_seed,
     sample_permutation_partition,
     sample_subset,
@@ -50,6 +52,16 @@ class TestSeed:
         base = Seed(99).rng("label", 7).random(4)
         assert not np.array_equal(base, Seed(99).rng("label", 8).random(4))
         assert not np.array_equal(base, Seed(99).rng("other", 7).random(4))
+
+    def test_negative_index_rejected_on_every_stream(self):
+        with pytest.raises(ParameterError, match="stream index"):
+            Seed(1).rng("label", -1)
+        with pytest.raises(ParameterError, match="stream index"):
+            gen_ensemble("sign_normalized", 4, Seed(1), index=-1)
+        with pytest.raises(ParameterError, match="stream index"):
+            sample_subset(Bernoulli(4, 0.5), Seed(1), index=-1)
+        with pytest.raises(ParameterError, match="stream index"):
+            mc_moment(DenseMatrix(np.eye(4)), Bernoulli(4, 0.5), 2.0, 10, Seed(1), index=-1)
 
 
 class TestSampleSubset:
