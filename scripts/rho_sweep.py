@@ -2,7 +2,8 @@
 """Sweep the selection rate on a unit-norm sign ensemble and compare the
 measured restricted-norm moment against the closed-form bounds.
 
-Writes sweep.csv next to this script unless --out is given.
+Writes its input matrix to sweep_matrix.txt in the working directory, and
+the scan to sweep.csv there unless --out names another path.
 """
 import argparse
 import pathlib

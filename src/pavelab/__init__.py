@@ -42,7 +42,6 @@ from .matrices import (
     paving_quality,
     restrict,
     schatten_norm,
-    singular_values,
     spectral_norm,
 )
 from .moments import MomentEstimate, exact_moment, mc_moment

@@ -127,7 +127,7 @@ class ChainReport:
     rho: float
     rho_moment_bound: float   # 800 (log n)^(-gamma)
     lam: float                # gamma / (2 + 2 gamma)
-    log_exponent: float       # lam (1 + 2 gamma) - gamma, always negative
+    log_exponent: float       # lam (1 + 2 gamma) - gamma = -lam
     extrap_bound: float       # 60 delta^lam + 48000 (log n)^log_exponent
     final_bound: float        # 100 delta^(gamma / (2 + 2 gamma))
     eps_achieved: float
@@ -183,17 +183,16 @@ def theorem_pipeline(
     rho = reference_rate(n, gamma)
     p = 2 * math.ceil(ln)
     lam = extrapolation_exponent(gamma)
-    log_exponent = lam * (1.0 + 2.0 * gamma) - gamma
+    if lam == 0.0:
+        raise ParameterError(f"gamma too small: lambda = gamma / (2 + 2 gamma) is 0 at {gamma}")
+    log_exponent = -lam
     rho_moment_bound = 800.0 * ln ** (-gamma)
     extrap_bound = extrapolation_constant(False) * delta ** lam + 48000.0 * ln ** log_exponent
     final_bound = 100.0 * delta ** lam
     # smallest dyadic n at which 48000 (log n)^log_exponent <= 40 delta^lam,
     # i.e. where extrap_bound <= final_bound; reported as log2(n*).  Computed
-    # in log space; inf when n* escapes float range (tiny gamma, or a
-    # log_exponent that rounds to 0 at huge gamma).
-    ln_log_n_star = math.inf
-    if log_exponent:
-        ln_log_n_star = math.log(1200.0 / delta ** lam) / abs(log_exponent)
+    # in log space; inf when n* escapes float range (tiny gamma).
+    ln_log_n_star = math.log(1200.0 / delta ** lam) / lam
     if ln_log_n_star > 700.0:
         log2_n_threshold = math.inf
     else:

@@ -229,6 +229,15 @@ def _cmd_scan(args) -> int:
         raise ParameterError("scan needs a square matrix")
     seed = parse_seed(args.seed)
     grid = _parse_grid(args.grid)
+    for value in grid:
+        if args.vary in ("rho", "delta"):
+            if not 0.0 <= value <= 1.0:
+                raise ParameterError(f"rate grid value {value} outside [0, 1]")
+        else:
+            if value != int(value) or value <= 0:
+                raise ParameterError(f"p grid value {value} must be a positive integer")
+            if args.rate is None:
+                raise ParameterError("--rate is required when varying p")
     n = a.n_rows
     method = args.method
     if method == "auto":
@@ -238,16 +247,7 @@ def _cmd_scan(args) -> int:
     lam = bounds.extrapolation_exponent(args.gamma)
     rows = []
     for i, value in enumerate(grid):
-        if args.vary in ("rho", "delta"):
-            rate, p = value, args.p
-            if not 0.0 <= rate <= 1.0:
-                raise ParameterError(f"rate grid value {rate} outside [0, 1]")
-        else:
-            rate, p = args.rate, value
-            if p != int(p) or p <= 0:
-                raise ParameterError(f"p grid value {p} must be a positive integer")
-            if rate is None:
-                raise ParameterError("--rate is required when varying p")
+        rate, p = (value, args.p) if args.vary in ("rho", "delta") else (args.rate, value)
         est = moment(a, Bernoulli(n, rate), p, method, args.trials, seed, 2 * i)
         try:
             s3 = bounds.step3_bound(mu, rate, n)

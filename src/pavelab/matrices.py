@@ -189,13 +189,6 @@ class Partition:
 # convention; a Bernoulli draw may select no coordinates at all.
 # ---------------------------------------------------------------------------
 
-def singular_values(a: DenseMatrix) -> np.ndarray:
-    """Singular values in weakly decreasing order."""
-    if a.is_empty:
-        return np.zeros(0)
-    return np.linalg.svd(a.data, compute_uv=False)
-
-
 def spectral_norm(a: DenseMatrix) -> float:
     """Largest singular value (operator norm on Euclidean space)."""
     if a.is_empty:

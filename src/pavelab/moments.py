@@ -24,7 +24,8 @@ The whole BernoulliPair space is a product of row sets and column sets, so
 k = min(|S|, |T|).  `exact_pattern_values` picks that kernel by model and
 never builds the 4^n pair mask rows; only `exact_patterns` expands one
 side's 2^n masks into them, for callers that read the rows.  Sampled pair
-patterns always go through `masked_norms`.
+patterns always go through `masked_norms`.  The pair kernel and the subset
+traces of `polynomials` gather per-size stacks from `size_index_rows`.
 The norms of an exact pattern space depend on neither the rate nor p, so
 `exact_pattern_values` keeps the last matrix's norms (with the mask popcounts
 its weights need) and exact moments of one matrix share one enumeration per
@@ -87,6 +88,16 @@ def mask_bits(n: int) -> np.ndarray:
     """All 2^n coordinate masks as rows of 0.0/1.0, binary-counter order."""
     codes = np.arange(1 << n, dtype=np.uint32)
     return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.float64)
+
+
+def size_index_rows(n: int) -> tuple[np.ndarray, list, list]:
+    """(mask_bits(n), codes, idx): per size k, the weight-k mask codes and their
+    C(n, k) x k coordinate array."""
+    bits = mask_bits(n)
+    counts = bits.sum(axis=1)
+    codes = [np.flatnonzero(counts == k) for k in range(n + 1)]
+    idx = [np.nonzero(bits[c])[1].reshape(c.size, k) for k, c in enumerate(codes)]
+    return bits, codes, idx
 
 
 def bernoulli_weights(bits: np.ndarray, rate: float) -> np.ndarray:
@@ -167,10 +178,7 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
         return out.ravel()
     shift = math.frexp(amax)[1]
     b = np.ldexp(a, -shift)
-    bits = mask_bits(n)
-    counts = bits.sum(axis=1)
-    codes = [np.flatnonzero(counts == k) for k in range(n + 1)]
-    idx = [np.nonzero(bits[c])[1].reshape(c.size, k) for k, c in enumerate(codes)]
+    bits, codes, idx = size_index_rows(n)
 
     def grams(m: np.ndarray, k: int) -> np.ndarray:
         rows = m[idx[k]]

@@ -7,9 +7,10 @@ bound applied to that polynomial is what lets a moment measured at a small
 selection rate be extrapolated to a constant rate.  Its coefficients are
 built exactly from per-size sums of subset traces, not fitted.
 
-`extrapolation_hypotheses` is the one statement of when that extrapolation
-bound holds and of its constant C: `check_extrapolation`, the EXTRAP
-inequality case and the `extrap_bound` column of `scan` all call it.
+Subset traces come from per-size stacks under the pattern layer's Bernoulli cap,
+and `_contraction_p` is the one contraction check.  `extrapolation_hypotheses`
+states when the extrapolation bound holds and its constant C; `check_extrapolation`,
+the EXTRAP inequality case and the `extrap_bound` column of `scan` all call it.
 """
 from __future__ import annotations
 
@@ -22,16 +23,16 @@ from .bounds import extrapolation_bound, extrapolation_constant
 from .errors import CapacityError, ParameterError, PreconditionError
 from .matrices import DenseMatrix, spectral_norm
 from .moments import (
+    EXACT_BERNOULLI_MAX_N,
     bernoulli_weights,
     exact_pattern_values,
-    mask_bits,
     masked_norms,
     moment,
+    size_index_rows,
     verdict,
 )
 from .sampling import Bernoulli, Seed
 
-TRACE_POLY_MAX_N = 12
 TRACE_POLY_MAX_P = 12
 _SLACK = 1e-12
 
@@ -44,10 +45,7 @@ class PolyCoefficients:
     coeffs: tuple[float, ...]
 
     def evaluate(self, s: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = (acc + c) * s
-        return acc
+        return float(np.polynomial.polynomial.polyval(s, (0.0, *self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -90,23 +88,30 @@ def _is_symmetric(a: DenseMatrix) -> bool:
     return a.is_square and bool(np.array_equal(a.data, a.data.T))
 
 
-def _check_even_p(p, n: int, what: str) -> int:
+def _contraction_p(x: DenseMatrix, norm: float, p) -> int:
+    """p as an int if X is square, ||X|| = `norm` <= 1 and p is even >= 2 log n."""
+    if not x.is_square:
+        raise PreconditionError("needs a square matrix")
+    if norm > 1.0 + 1e-9:
+        raise PreconditionError(f"needs ||X|| <= 1, got {norm}")
     if int(p) != p or int(p) % 2 != 0 or p < 2:
-        raise PreconditionError(f"{what}: p must be a positive even integer, got {p}")
-    if p < 2 * math.log(n):
-        raise PreconditionError(f"{what}: needs p >= 2 log n (p={p}, n={n})")
+        raise PreconditionError(f"p must be a positive even integer, got {p}")
+    if p < 2 * math.log(x.n_rows):
+        raise PreconditionError(f"needs p >= 2 log n (p={p}, n={x.n_rows})")
     return int(p)
 
 
 def subset_traces_and_norms(x: DenseMatrix, p: int):
-    """trace((X_sigma)^p) and ||X_sigma|| over all coordinate masks."""
+    """(masks, trace((X_S)^p), ||X_S||) over all 2^n masks S; trace 0 at S = {}."""
     n = x.n_rows
-    if n > TRACE_POLY_MAX_N:
+    if n > EXACT_BERNOULLI_MAX_N:
         raise CapacityError(f"trace enumeration needs 2^{n} patterns")
-    bits = mask_bits(n)
+    bits, codes, idx = size_index_rows(n)
     norms = masked_norms(x.data, bits, bits)
-    stack = x.data[None, :, :] * bits[:, :, None] * bits[:, None, :]
-    traces = np.einsum("bii->b", np.linalg.matrix_power(stack, p))
+    traces = np.zeros(bits.shape[0])
+    for k in range(1, n + 1):
+        block = x.data[idx[k][:, :, None], idx[k][:, None, :]]
+        traces[codes[k]] = np.einsum("bii->b", np.linalg.matrix_power(block, p))
     return bits, traces, norms
 
 
@@ -118,10 +123,7 @@ def restricted_trace_moment(x: DenseMatrix, p: int, s: float) -> float:
 
 def restricted_norm_moment_pth(x: DenseMatrix, p: int, s: float) -> float:
     """Exact F(s) = E ||R_s X R_s||^p (the p-th power, not its root)."""
-    n = x.n_rows
-    if n > TRACE_POLY_MAX_N:
-        raise CapacityError(f"norm enumeration needs 2^{n} patterns")
-    norms, weights = exact_pattern_values(x, Bernoulli(n, s))
+    norms, weights = exact_pattern_values(x, Bernoulli(x.n_rows, s))
     return float(np.sum(weights * norms ** p))
 
 
@@ -152,25 +154,19 @@ def trace_moment_polynomial(x: DenseMatrix, p) -> PolyCoefficients:
 def check_polynomial_sandwich(x: DenseMatrix, p, s_grid) -> SandwichReport:
     """Verify F(s) <= E trace (R_s X R_s)^p <= e^p F(s) and F monotone.
 
-    Requires a symmetric matrix with norm at most one (the trace lower bound
-    fails for non-normal inputs) and even p >= 2 log n.
+    Requires a symmetric matrix that passes `_contraction_p` (the trace lower
+    bound fails for non-normal inputs).
     """
-    if not x.is_square or x.n_rows > TRACE_POLY_MAX_N:
-        raise PreconditionError(f"sandwich: needs square n <= {TRACE_POLY_MAX_N}")
     if not _is_symmetric(x):
         raise PreconditionError("sandwich: needs a symmetric matrix")
-    if spectral_norm(x) > 1.0 + 1e-9:
-        raise PreconditionError("sandwich: needs ||X|| <= 1")
-    p = _check_even_p(p, x.n_rows, "sandwich")
+    p = _contraction_p(x, spectral_norm(x), p)
     grid = tuple(sorted(float(s) for s in s_grid))
     if not grid or grid[0] < 0.0 or grid[-1] > 1.0:
         raise PreconditionError("sandwich: grid must lie in [0, 1]")
     bits, traces, norms = subset_traces_and_norms(x, p)
-    f_vals, t_vals = [], []
-    for s in grid:
-        w = bernoulli_weights(bits, s)
-        f_vals.append(float(np.sum(w * norms ** p)))
-        t_vals.append(float(np.sum(w * traces)))
+    weights = [bernoulli_weights(bits, s) for s in grid]
+    f_vals = [float(np.sum(w * norms ** p)) for w in weights]
+    t_vals = [float(np.sum(w * traces)) for w in weights]
     scale = math.exp(p)
     holds = all(
         f <= t + _SLACK and t <= scale * f + _SLACK
@@ -232,15 +228,7 @@ def chebyshev_coefficients(d: int) -> list[int]:
     """Monomial coefficients c_0..c_d of the degree-d Chebyshev polynomial."""
     if d < 0:
         raise ParameterError("degree must be >= 0")
-    prev, cur = [1], [0, 1]
-    if d == 0:
-        return prev
-    for _ in range(d - 1):
-        nxt = [0] + [2 * v for v in cur]
-        for i, v in enumerate(prev):
-            nxt[i] -= v
-        prev, cur = cur, nxt
-    return cur
+    return [int(c) for c in np.polynomial.chebyshev.cheb2poly([0] * d + [1])]
 
 
 def extrapolation_hypotheses(
@@ -248,22 +236,17 @@ def extrapolation_hypotheses(
 ) -> tuple[int, float]:
     """(even p, C) for the extrapolation bound, or PreconditionError.
 
-    The bound needs X square with ||X|| = `norm` <= 1, delta in (0, 1),
-    rho in (0, 1/2), lam in (0, 1) and even p >= 2 log n; C = 60, halved
-    for symmetric X.
+    The bound needs delta in (0, 1), rho in (0, 1/2), lam in (0, 1), and X,
+    `norm` = ||X|| and p to pass `_contraction_p`; C = 60, halved for
+    symmetric X.
     """
-    if not x.is_square:
-        raise PreconditionError("extrapolation: needs a square matrix")
-    if norm > 1.0 + 1e-9:
-        raise PreconditionError("extrapolation: needs ||X|| <= 1")
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"extrapolation: delta must be in (0, 1), got {delta}")
     if not 0.0 < rho < 0.5:
         raise PreconditionError(f"extrapolation: rho must be in (0, 0.5), got {rho}")
     if not 0.0 < lam < 1.0:
         raise PreconditionError(f"extrapolation: lambda must be in (0, 1), got {lam}")
-    p = _check_even_p(p, x.n_rows, "extrapolation")
-    return p, extrapolation_constant(_is_symmetric(x))
+    return _contraction_p(x, norm, p), extrapolation_constant(_is_symmetric(x))
 
 
 def check_extrapolation(

@@ -155,51 +155,39 @@ def smoke_instance(case_id: str) -> InequalityInstance:
     raise ParameterError(f"no smoke instance for case {case_id!r}")
 
 
+def _seeded(label: str, count: int, master: int | None, make) -> list:
+    """[(i, *make(rng_i)) for i < count], rng_i = Seed(master).rng("suite:<label>", i);
+    `master` defaults to the label's manifest seed."""
+    seed = Seed(SUITE_MASTER_SEEDS[label] if master is None else master)
+    return [(i, *make(seed.rng(f"suite:{label}", i))) for i in range(count)]
+
+
 def suite_instances(case_id: str, count: int, master: int | None = None):
     """(label_seed, instance) pairs; label_seed identifies the offending draw."""
-    if master is None:
-        master = SUITE_MASTER_SEEDS[case_id]
-    seed = Seed(master)
-    out = []
-    for i in range(count):
-        out.append((i, make_instance(case_id, seed.rng(f"suite:{case_id}", i))))
-    return out
+    return _seeded(case_id, count, master, lambda rng: (make_instance(case_id, rng),))
+
+
+def _sandwich_draw(rng):
+    p = _pick(rng, [4, 6])
+    n = int(rng.integers(3, (7 if p == 4 else 8) + 1))
+    return _rand_matrix(rng, n, symmetric=True, unit_norm=True), p
 
 
 def sandwich_instances(count: int, master: int | None = None):
     """(index, matrix, p) for the trace/norm sandwich: symmetric contractions."""
-    if master is None:
-        master = SUITE_MASTER_SEEDS["SANDWICH"]
-    seed = Seed(master)
-    out = []
-    for i in range(count):
-        rng = seed.rng("suite:SANDWICH", i)
-        p = _pick(rng, [4, 6])
-        n_max = 7 if p == 4 else 8
-        n = int(rng.integers(3, n_max + 1))
-        out.append((i, _rand_matrix(rng, n, symmetric=True, unit_norm=True), p))
-    return out
+    return _seeded("SANDWICH", count, master, _sandwich_draw)
+
+
+def _oracle_draw(rng):
+    n = int(rng.integers(4, 11))
+    a = _rand_matrix(rng, n)
+    return a, int(rng.integers(1, n)), float(rng.uniform(0.2, 0.8))
 
 
 def oracle_instances(count: int, master: int | None = None):
     """(index, matrix, k, rate) for the mc-vs-exact oracle comparisons."""
-    if master is None:
-        master = SUITE_MASTER_SEEDS["ORACLE"]
-    seed = Seed(master)
-    out = []
-    for i in range(count):
-        rng = seed.rng("suite:ORACLE", i)
-        n = int(rng.integers(4, 11))
-        a = _rand_matrix(rng, n)
-        k = int(rng.integers(1, n))
-        rate = float(rng.uniform(0.2, 0.8))
-        out.append((i, a, k, rate))
-    return out
+    return _seeded("ORACLE", count, master, _oracle_draw)
 
 
 def hollow_instances(count: int, n: int, master: int) -> list[tuple[int, DenseMatrix]]:
-    seed = Seed(master)
-    return [
-        (i, _rand_matrix(seed.rng("suite:hollow", i), n, hollow=True))
-        for i in range(count)
-    ]
+    return _seeded("hollow", count, master, lambda rng: (_rand_matrix(rng, n, hollow=True),))

@@ -150,6 +150,12 @@ class TestTheoremPipeline:
             assert rep.log_exponent < 0.0
             assert rep.log_exponent == pytest.approx(-gamma / (2 + 2 * gamma), rel=1e-12)
 
+    def test_log_exponent_is_minus_lambda_exactly(self):
+        # lambda (1 + 2 gamma) - gamma = -lambda, evaluated without cancelling
+        for gamma in [*np.geomspace(1e-300, 1e300, 61), 0.1, 1.0 / 3.0, 7.0]:
+            rep = theorem_pipeline(1024, float(gamma), m=16)
+            assert rep.log_exponent == -rep.lam < 0.0, gamma
+
     def test_sufficient_delta_achieves_eps(self):
         for gamma in (0.5, 1.0, 2.0, 4.0, 8.0):
             for eps in (0.1, 0.3, 0.5, 0.7):

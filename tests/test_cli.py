@@ -11,7 +11,7 @@ import pytest
 import pavelab
 
 from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, mc_moment, spectral_norm
-from pavelab import bounds, fileio, moments
+from pavelab import bounds, cli, fileio, moments
 from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN_HEADER, main
 from pavelab.fileio import read_matrix, write_matrix
 from pavelab.sampling import Bernoulli, gen_ensemble
@@ -269,6 +269,30 @@ class TestScan:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("vary, grid, extra", [
+        ("rho", "0.1,0.2,0.5,7", ["--p", "6"]),
+        ("p", "2,4,6.5", ["--rate", "0.3"]),
+    ])
+    def test_bad_grid_value_exits_2_before_any_moment(
+        self, capsys, tmp_path, monkeypatch, vary, grid, extra
+    ):
+        src, out_csv = tmp_path / "m.txt", tmp_path / "s.csv"
+        run(capsys, "gen", "sign", "8", "--seed", "11", "--out", str(src))
+        calls = []
+        real = cli.moment
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "moment", counting)
+        code, out, err = run(
+            capsys, "scan", str(src), "--vary", vary, "--grid", grid, *extra,
+            "--method", "exact", "--out", str(out_csv),
+        )
+        assert code == EXIT_USAGE and "grid value" in err
+        assert calls == [] and out == "" and not out_csv.exists()
+
     def test_capacity_exit_3(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
         write_matrix(gen_ensemble("bounded_random", 16, Seed(5), mu=0.2), src)
@@ -474,12 +498,18 @@ class TestBound:
     @pytest.mark.parametrize("argv, line", [
         (("paving-size", "--gamma", "1e-3", "--eps", "0.5"), "paving_size_bound = inf"),
         (("pipeline", "--n", "1024", "--gamma", "1e300", "--m", "16"),
-         "log2_n_threshold = inf (artifact surrogate)"),
+         "log2_n_threshold = 33239694 (artifact surrogate)"),
         (("khintchine", "--p", "1e308"), "khintchine_exact = -"),
     ])
     def test_overflow_prints_inf_or_dash(self, capsys, argv, line):
         code, out, _ = run(capsys, "bound", *argv)
         assert code == EXIT_OK and line in out.splitlines()
+
+    def test_pipeline_gamma_with_zero_lambda_exits_2(self, capsys):
+        # gamma / (2 + 2 gamma) rounds to 0 at the smallest subnormal
+        code, out, err = run(capsys, "bound", "pipeline", "--n", "1024", "--gamma", "5e-324",
+                             "--m", "16")
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: gamma too small")
 
     def test_khintchine_past_float_factorials(self, capsys):
         # (p - 1)!! = p! / (2^(p/2) (p/2)!) exceeds float range from p = 302

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pavelab import (
+    CapacityError,
     DenseMatrix,
     ParameterError,
     PreconditionError,
@@ -12,12 +13,14 @@ from pavelab import (
     check_markov,
     check_polynomial_sandwich,
     chebyshev_coefficients,
+    spectral_norm,
     trace_moment_polynomial,
 )
 from pavelab.polynomials import (
     polynomial_sup_unit_interval,
     restricted_norm_moment_pth,
     restricted_trace_moment,
+    subset_traces_and_norms,
 )
 
 from .oracles import interpolated_trace_polynomial
@@ -27,6 +30,22 @@ def _symmetric_contraction(rng, n):
     m = rng.uniform(-1, 1, (n, n))
     m = (m + m.T) / 2.0
     return DenseMatrix(m / np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_subset_traces_match_per_mask_matrix_power(rng, n):
+    m = rng.uniform(-1, 1, (n, n))
+    for x in (m, (m + m.T) / 2.0):
+        for p in (3, 6):
+            bits, traces, _ = subset_traces_and_norms(DenseMatrix(x), p)
+            assert bits.shape == (1 << n, n) and traces.shape == (1 << n,)
+            for mask, got in zip(bits, traces):
+                sel = np.flatnonzero(mask)
+                block = x[np.ix_(sel, sel)]
+                want = np.trace(np.linalg.matrix_power(block, p)) if sel.size else 0.0
+                # rounding scale: the same walk sum over |entries|
+                scale = np.trace(np.linalg.matrix_power(np.abs(block), p)) if sel.size else 0.0
+                assert abs(got - want) <= 1e-13 * scale, (n, p, sel)
 
 
 class TestTraceMomentPolynomial:
@@ -79,6 +98,19 @@ class TestTraceMomentPolynomial:
         assert all(c == 0.0 for c in pc.coeffs[n:])
         assert pc.coeffs[min(n, p) - 1] != 0.0
 
+    def test_runs_at_n_13(self, rng):
+        x = DenseMatrix(rng.uniform(-1, 1, (13, 13)) / 13.0)
+        pc = trace_moment_polynomial(x, 4)
+        full = float(np.trace(np.linalg.matrix_power(x.data, 4)))
+        assert sum(pc.coeffs) == pytest.approx(full, rel=1e-10, abs=1e-12)
+        assert pc.evaluate(0.3) == pytest.approx(
+            restricted_trace_moment(x, 4, 0.3), rel=1e-10, abs=1e-12
+        )
+        assert restricted_norm_moment_pth(x, 4, 1.0) == pytest.approx(
+            spectral_norm(x) ** 4, rel=1e-12
+        )
+        assert restricted_norm_moment_pth(x, 4, 0.0) == 0.0
+
     def test_rejects_odd_p(self):
         with pytest.raises(ParameterError):
             trace_moment_polynomial(DenseMatrix.identity(2), 3)
@@ -121,6 +153,11 @@ class TestSandwich:
         with pytest.raises(PreconditionError):
             check_polynomial_sandwich(DenseMatrix.zeros(8), 2, [0.5])
 
+    def test_capacity_past_bernoulli_cap(self, rng):
+        # n = 15 passes every hypothesis (p = 6 >= 2 log 15) and hits the 2^n cap
+        with pytest.raises(CapacityError):
+            check_polynomial_sandwich(_symmetric_contraction(rng, 15), 6, [0.5])
+
     def test_lower_bound_is_trace_vs_norm(self, rng):
         x = _symmetric_contraction(rng, 5)
         rep = check_polynomial_sandwich(x, 4, [0.4])
@@ -152,6 +189,20 @@ class TestMarkov:
         rep = check_markov(chebyshev_coefficients(d), d)
         assert rep.holds
         assert rep.max_abs == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d", range(0, 30))
+    def test_chebyshev_coefficients_are_ints_of_cos_d_theta(self, d):
+        coeffs = chebyshev_coefficients(d)
+        assert len(coeffs) == d + 1 and all(type(c) is int for c in coeffs)
+        assert coeffs[-1] == (1 if d == 0 else 2 ** (d - 1))
+        theta = np.linspace(0.0, np.pi, 41)
+        got = np.polynomial.polynomial.polyval(np.cos(theta), coeffs)
+        # Horner's rounding scale is the sum of |c_k| (|cos theta| <= 1)
+        assert np.all(np.abs(got - np.cos(d * theta)) <= 1e-13 * sum(abs(c) for c in coeffs))
+
+    def test_chebyshev_rejects_negative_degree(self):
+        with pytest.raises(ParameterError):
+            chebyshev_coefficients(-1)
 
     def test_rejects_degree_overflow(self):
         with pytest.raises(ParameterError):
