@@ -3,6 +3,20 @@
 Everything here is immutable and pure: values can be shared freely between
 threads.  Spectral quantities come from LAPACK via numpy; tests cross-check
 them against an independent one-sided Jacobi SVD.
+
+`block_norms` is the one rule for the norm of a restricted block, used by
+`paving_quality` here and by `moments.masked_norms` for every pattern space,
+sampler and paver.  A proper r x c block is scaled by its own power of two
+(its largest entry lands in [1/2, 1), so its Gram can neither overflow nor
+lose the norm to underflow) and its norm is the square root of the top
+eigenvalue of the smaller Gram, B^T B or B B^T: O(r c k) for the Gram plus
+O(k^3) for the eigenvalue, k = min(r, c), in closed form for k <= 2.  Two
+cases keep the singular-value-only SVD:
+- the whole matrix, so every "nothing removed" pattern (rate 1, a one-block
+  paving) equals `spectral_norm` bit for bit;
+- k > GRAM_MAX_K = 64: numpy's `syrk` Gram of a 100 x 100 block and
+  `eigvalsh` at 512 x 512 give bits that change with the BLAS thread count,
+  while Grams and eigenvalues up to k = 64 do not.
 """
 from __future__ import annotations
 
@@ -196,6 +210,43 @@ def spectral_norm(a: DenseMatrix) -> float:
     return float(np.linalg.svd(a.data, compute_uv=False)[0])
 
 
+GRAM_MAX_K = 64
+
+
+def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """lambda_max of each symmetric matrix of a (B, k, k) stack, k >= 1.
+
+    k = 1 and 2 use closed forms; larger k go through `eigvalsh`, which
+    reads the lower triangle.  Each value depends only on its own block.
+    """
+    k = blocks.shape[-1]
+    if k == 1:
+        return blocks[:, 0, 0]
+    if k == 2:
+        p, q, s = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
+        return 0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
+    return np.linalg.eigvalsh(blocks)[:, -1]
+
+
+def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
+    """Spectral norm of each block of a nonempty (B, r, c) stack.
+
+    `whole` says the blocks are the whole matrix: those, and blocks with
+    min(r, c) > GRAM_MAX_K, take the SVD; every other block the top
+    eigenvalue of its smaller Gram after scaling by its own power of two
+    (see the module docstring).  Each norm depends only on its own block,
+    whatever stack it sits in.
+    """
+    r, c = blocks.shape[1:]
+    if whole or min(r, c) > GRAM_MAX_K:
+        return np.linalg.svd(blocks, compute_uv=False)[:, 0]
+    shift = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1]
+    b = np.ldexp(blocks, -shift[:, None, None])
+    bt = b.transpose(0, 2, 1)
+    lam = top_eigenvalues(bt @ b if c <= r else b @ bt)
+    return np.ldexp(np.sqrt(lam), shift)
+
+
 def batch_schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:
     """l_p norm of the singular-value vector per matrix of a (B, r, c) stack,
     scaled by the largest singular value for stability."""
@@ -266,4 +317,7 @@ def paving_quality(a: DenseMatrix, part: Partition) -> float:
         raise DimensionError("paving quality needs a square matrix")
     if part.n != a.n_rows:
         raise DimensionError(f"partition of {part.n} applied to {a.n_rows}x{a.n_cols}")
-    return max(spectral_norm(restrict(a, b, b)) for b in part.blocks)
+    return max(
+        float(block_norms(restrict(a, b, b).data[None], b.size == part.n)[0])
+        for b in part.blocks
+    )

@@ -14,22 +14,26 @@ Patterns are ordered by a binary counter on coordinate masks (or by packed
 code for deduped draws), and all reductions run in that fixed order, so
 results are bitwise reproducible.
 
-Cost model: a restricted norm ||A_{sigma,tau}|| is the largest singular value
-of the gathered |sigma| x |tau| submatrix, so a pattern with r selected rows
-and c selected columns costs O(r c min(r, c)), not O(n^3).  Patterns of equal
-(r, c) are factored together in stacks of at most `_chunk_rows(r, c)`.
-The whole BernoulliPair space is a product of row sets and column sets, so
-`pair_space_norms` forms one n x n Gram per row set (A_S^T A_S) or column set
-(A_T A_T^T) and then one k x k symmetric eigenproblem per pattern,
-k = min(|S|, |T|).  `exact_pattern_values` picks that kernel by model and
-never builds the 4^n pair mask rows; only `exact_patterns` expands one
-side's 2^n masks into them, for callers that read the rows.  Sampled pair
-patterns always go through `masked_norms`.  The pair kernel and the subset
-traces of `polynomials` gather per-size stacks from `size_index_rows`.
-The norms of an exact pattern space depend on neither the rate nor p, so
-`exact_pattern_values` keeps the last matrix's norms (with the mask popcounts
-its weights need) and exact moments of one matrix share one enumeration per
-pattern space.
+Cost model: a restricted norm ||A_{sigma,tau}|| is the norm of the gathered
+|sigma| x |tau| submatrix, so a pattern with r selected rows and c selected
+columns costs O(r c k), k = min(r, c), not O(n^3).  Patterns of equal (r, c)
+are gathered together in stacks of at most `_chunk_rows(r, c)` and normed by
+`matrices.block_norms`: the top eigenvalue of each block's k x k Gram (closed
+form for k <= 2), except the whole matrix and k > 64, which take the SVD so
+that a rate-1 pattern equals `spectral_norm` bit for bit and no result
+depends on the BLAS thread count.  The whole BernoulliPair space is a
+product of row sets and column sets, so `pair_space_norms` forms one n x n
+Gram per row set (A_S^T A_S) or column set (A_T A_T^T) and then one k x k
+symmetric eigenproblem per pattern through the same `top_eigenvalues`.
+`exact_pattern_values` picks that kernel by model and never builds the 4^n
+pair mask rows; only `exact_patterns` expands one side's 2^n masks into
+them, for callers that read the rows.  Sampled pair patterns always go
+through `masked_norms`.  The pair kernel and the subset traces of
+`polynomials` gather per-size stacks from `size_index_rows`.  The norms of
+an exact pattern space depend on neither the rate nor p, so
+`exact_pattern_values` keeps the last matrix's norms (with the mask
+popcounts its weights need) and exact moments of one matrix share one
+enumeration per pattern space.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .matrices import DenseMatrix
+from .matrices import DenseMatrix, block_norms, top_eigenvalues
 from .sampling import (
     Bernoulli,
     BernoulliPair,
@@ -134,27 +138,20 @@ def _top_eigenvalues(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """lambda_max of grams[g][t, t] for every Gram g and index set t = idx[j],
     as a (len(grams), len(idx)) array.
 
-    Blocks of size 1 and 2 use closed forms; larger ones go through
-    `eigvalsh` (which reads the lower triangle) in stacks of
-    `_chunk_rows(k, k)`.
+    The blocks of a run of Grams are gathered with one `take` of their
+    positions in the raveled Grams and handed to `top_eigenvalues`, about
+    `_chunk_rows(k, k)` blocks at a time (all of them for k <= 2).
     """
+    n_grams, n = grams.shape[:2]
     n_sets, k = idx.shape
-    total = grams.shape[0] * n_sets
-    out = np.empty(total)
-    step = total if k <= 2 else _chunk_rows(k, k)
-    for start in range(0, total, step):
-        g, j = np.divmod(np.arange(start, min(start + step, total)), n_sets)
-        t = idx[j]
-        blocks = grams[g[:, None, None], t[:, :, None], t[:, None, :]]
-        if k == 1:
-            lam = blocks[:, 0, 0]
-        elif k == 2:
-            p, q, s = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
-            lam = 0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
-        else:
-            lam = np.linalg.eigvalsh(blocks)[:, -1]
-        out[start:start + lam.size] = lam
-    return out.reshape(grams.shape[0], n_sets)
+    flat = grams.reshape(n_grams, n * n)
+    pos = (idx[:, :, None] * n + idx[:, None, :]).reshape(n_sets, k * k)
+    step = n_grams if k <= 2 else max(1, _chunk_rows(k, k) // n_sets)
+    out = np.empty((n_grams, n_sets))
+    for start in range(0, n_grams, step):
+        blocks = flat[start:start + step].take(pos, axis=1).reshape(-1, k, k)
+        out[start:start + step] = top_eigenvalues(blocks).reshape(-1, n_sets)
+    return out
 
 
 def pair_space_norms(a: np.ndarray) -> np.ndarray:
@@ -207,7 +204,8 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
 
     The norm is that of the gathered |sigma| x |tau| submatrix.  Patterns are
     bucketed by (row count, column count), and each bucket's submatrices are
-    factored as one stack in chunks of `_chunk_rows(r, c)`; patterns with an
+    normed by `block_norms` as one stack in chunks of `_chunk_rows(r, c)`
+    (the bucket that selects all of A as the whole matrix); patterns with an
     empty side are 0.  Results come back in input order.
     """
     rows = np.asarray(row_bits) != 0
@@ -224,13 +222,13 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
         r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
         if r == 0 or c == 0:
             continue
+        whole = (r, c) == a.shape
         step = _chunk_rows(r, c)
         for start in range(0, bucket.size, step):
             sel = bucket[start:start + step]
             ri = np.nonzero(rows[sel])[1].reshape(-1, r)
             ci = np.nonzero(cols[sel])[1].reshape(-1, c)
-            stack = a[ri[:, :, None], ci[:, None, :]]
-            out[sel] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            out[sel] = block_norms(a[ri[:, :, None], ci[:, None, :]], whole)
     return out
 
 

@@ -89,9 +89,10 @@ def _is_symmetric(a: DenseMatrix) -> bool:
 
 
 def _contraction_p(x: DenseMatrix, norm: float, p) -> int:
-    """p as an int if X is square, ||X|| = `norm` <= 1 and p is even >= 2 log n."""
-    if not x.is_square:
-        raise PreconditionError("needs a square matrix")
+    """p as an int if X is nonempty and square, ||X|| = `norm` <= 1 and p is
+    even >= 2 log n."""
+    if not x.is_square or x.is_empty:
+        raise PreconditionError(f"needs a nonempty square matrix, got {x.n_rows}x{x.n_cols}")
     if norm > 1.0 + 1e-9:
         raise PreconditionError(f"needs ||X|| <= 1, got {norm}")
     if int(p) != p or int(p) % 2 != 0 or p < 2:
@@ -101,23 +102,28 @@ def _contraction_p(x: DenseMatrix, norm: float, p) -> int:
     return int(p)
 
 
-def subset_traces_and_norms(x: DenseMatrix, p: int):
-    """(masks, trace((X_S)^p), ||X_S||) over all 2^n masks S; trace 0 at S = {}."""
+def subset_traces(x: DenseMatrix, p: int):
+    """(masks, trace((X_S)^p)) over all 2^n masks S; trace 0 at S = {}."""
     n = x.n_rows
     if n > EXACT_BERNOULLI_MAX_N:
         raise CapacityError(f"trace enumeration needs 2^{n} patterns")
     bits, codes, idx = size_index_rows(n)
-    norms = masked_norms(x.data, bits, bits)
     traces = np.zeros(bits.shape[0])
     for k in range(1, n + 1):
         block = x.data[idx[k][:, :, None], idx[k][:, None, :]]
         traces[codes[k]] = np.einsum("bii->b", np.linalg.matrix_power(block, p))
-    return bits, traces, norms
+    return bits, traces
+
+
+def subset_traces_and_norms(x: DenseMatrix, p: int):
+    """(masks, trace((X_S)^p), ||X_S||) over all 2^n masks S; trace 0 at S = {}."""
+    bits, traces = subset_traces(x, p)
+    return bits, traces, masked_norms(x.data, bits, bits)
 
 
 def restricted_trace_moment(x: DenseMatrix, p: int, s: float) -> float:
     """Exact E trace (R_s X R_s)^p by pattern enumeration."""
-    bits, traces, _ = subset_traces_and_norms(x, p)
+    bits, traces = subset_traces(x, p)
     return float(np.sum(bernoulli_weights(bits, s) * traces))
 
 
@@ -141,7 +147,7 @@ def trace_moment_polynomial(x: DenseMatrix, p) -> PolyCoefficients:
     if int(p) != p or p % 2 != 0 or p < 2 or p > TRACE_POLY_MAX_P:
         raise ParameterError(f"p must be even with 2 <= p <= {TRACE_POLY_MAX_P}")
     p, n = int(p), x.n_rows
-    bits, traces, _ = subset_traces_and_norms(x, p)
+    bits, traces = subset_traces(x, p)
     sums = np.bincount(bits.sum(axis=1).astype(np.intp), weights=traces, minlength=n + 1)
     coeffs = tuple(
         float(sum((-1) ** (m - j) * math.comb(n - j, m - j) * sums[j]

@@ -648,3 +648,41 @@ def test_decoupling_verify_identical_across_blas_thread_counts():
     ]
     assert b"suite=DECOUPLING" in outs[0]
     assert outs[0] == outs[1]
+
+
+def _single_and_inherited_envs() -> tuple[dict, dict]:
+    src = os.path.dirname(os.path.dirname(pavelab.__file__))
+    inherited = dict(os.environ)
+    inherited["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in inherited.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return dict(inherited, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"), inherited
+
+
+def test_gram_and_svd_blocks_identical_across_blas_thread_counts(tmp_path):
+    """Paving blocks at the Gram kernel's limit (64 x 64) and just past it
+    (65 x 65, SVD), and a Monte Carlo scan whose draws straddle it, give
+    bytewise-equal artifacts with one BLAS thread and the inherited setting."""
+    runs = [
+        ("gen", "sign", "128", "--seed", "5", "--out", "a128.txt"),
+        ("pave", "a128.txt", "-m", "2", "--trials", "20", "--seed", "2", "--out", "pave64.txt"),
+        ("gen", "sign", "130", "--seed", "6", "--out", "a130.txt"),
+        ("pave", "a130.txt", "-m", "2", "--trials", "20", "--seed", "2", "--out", "pave65.txt"),
+        ("scan", "a128.txt", "--vary", "rho", "--grid", "0.5", "--p", "12",
+         "--trials", "40", "--method", "mc", "--out", "mc.csv"),
+    ]
+    results = []
+    for label, env in zip(("single", "inherited"), _single_and_inherited_envs()):
+        work = tmp_path / label
+        work.mkdir()
+        stdout = b""
+        for argv in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pavelab.cli", *argv],
+                cwd=work, env=env, capture_output=True, check=True,
+            )
+            stdout += proc.stdout
+        results.append((stdout, {f.name: f.read_bytes() for f in sorted(work.iterdir())}))
+    assert b"spectral_norm=" in results[0][0]
+    assert results[0][1].keys() == {"a128.txt", "pave64.txt", "a130.txt", "pave65.txt", "mc.csv"}
+    assert results[0] == results[1]

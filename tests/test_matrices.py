@@ -20,6 +20,9 @@ from pavelab import (
     spectral_norm,
 )
 
+from pavelab.matrices import block_norms, top_eigenvalues
+from pavelab.moments import masked_norms
+
 from .conftest import square_matrices
 from .oracles import jacobi_schatten_norm, jacobi_spectral_norm
 
@@ -233,6 +236,65 @@ class TestPavingQuality:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             paving_quality(DenseMatrix.identity(3), Partition.singletons(4))
+
+    def test_unequal_blocks_equal_their_masked_norms(self, rng):
+        """Each block is normed alone; the max equals the pattern layer's
+        norms of the same blocks bit for bit."""
+        a = DenseMatrix(rng.uniform(-1, 1, (9, 9)))
+        part = Partition.from_blocks(9, [[0, 4], [1, 2, 5, 8], [3], [6, 7]])
+        masks = np.array([b.mask() for b in part.blocks])
+        assert paving_quality(a, part) == float(np.max(masked_norms(a.data, masks, masks)))
+
+
+class TestBlockNorms:
+    """The one rule for a restricted block: SVD for the whole matrix and for
+    min(r, c) > GRAM_MAX_K, the smaller Gram's top eigenvalue otherwise."""
+
+    @staticmethod
+    def _no_svd(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("svd called")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (9, 4), (64, 64),
+                                       (64, 90), (90, 64)])
+    def test_proper_blocks_take_the_gram_kernel(self, monkeypatch, rng, shape):
+        blocks = rng.uniform(-1, 1, (3, *shape))
+        want = [jacobi_spectral_norm(b) for b in blocks]
+        self._no_svd(monkeypatch)
+        assert block_norms(blocks, False) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shape, whole", [((5, 5), True), ((65, 65), False), ((65, 80), False)])
+    def test_svd_cases_equal_spectral_norm(self, rng, shape, whole):
+        blocks = rng.uniform(-1, 1, (2, *shape))
+        got = block_norms(blocks, whole)
+        assert [float(v) for v in got] == [spectral_norm(DenseMatrix(b)) for b in blocks]
+
+    def test_whole_matrix_equals_spectral_norm_bit_for_bit(self, rng):
+        """Masks or a partition that remove nothing give `spectral_norm`'s
+        bits, which the Gram kernel would miss for most of these matrices."""
+        gram_differs = 0
+        for n in range(2, 13):
+            a = DenseMatrix(rng.uniform(-1, 1, (n, n + n % 3)))
+            norm = spectral_norm(a)
+            full = np.ones((1, n), dtype=bool), np.ones((1, a.n_cols), dtype=bool)
+            assert masked_norms(a.data, *full)[0] == norm
+            if a.is_square:
+                assert paving_quality(a, Partition.single_block(n)) == norm
+            gram_differs += block_norms(a.data[None], False)[0] != norm
+        assert gram_differs >= 3
+
+    def test_each_norm_depends_only_on_its_block(self, rng):
+        for shape in [(2, 2), (6, 4), (12, 12)]:
+            blocks = rng.uniform(-1, 1, (40, *shape)) * np.logspace(-200, 200, 40)[:, None, None]
+            alone = np.concatenate([block_norms(b[None], False) for b in blocks])
+            assert np.array_equal(block_norms(blocks, False), alone)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_top_eigenvalues(self, rng, k):
+        m = rng.uniform(-1, 1, (20, k, k))
+        sym = m + m.transpose(0, 2, 1)
+        assert top_eigenvalues(sym) == pytest.approx(np.linalg.eigvalsh(sym)[:, -1], rel=1e-14, abs=1e-14)
 
 
 @given(square_matrices(min_n=2, max_n=6), st.data())

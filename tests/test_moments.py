@@ -240,6 +240,47 @@ class TestMaskedNorms:
     def test_no_patterns(self):
         assert masked_norms(np.eye(3), np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(12, 13), (13, 12)])
+    def test_every_bucket_up_to_12_matches_jacobi(self, rng, shape):
+        """One pattern per (r, c), 1 <= r, c <= 12, of a rectangular matrix."""
+        a = rng.uniform(-1.0, 1.0, shape)
+        rc = list(itertools.product(range(1, 13), repeat=2))
+        rows = np.zeros((len(rc), shape[0]), dtype=bool)
+        cols = np.zeros((len(rc), shape[1]), dtype=bool)
+        for j, (r, c) in enumerate(rc):
+            rows[j, rng.choice(shape[0], r, replace=False)] = True
+            cols[j, rng.choice(shape[1], c, replace=False)] = True
+        got = masked_norms(a, rows, cols)
+        want = [jacobi_spectral_norm(a[np.ix_(rb, cb)]) for rb, cb in zip(rows, cols)]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 2.0 ** -1060, 1e-310])
+    def test_scale_extremes_match_jacobi(self, rng, scale):
+        """Tiny, huge and subnormal entries; the oracle runs on the matrix
+        moved to unit scale by an exact power of two."""
+        a = rng.uniform(-1.0, 1.0, (9, 9)) * scale
+        rows, cols = rng.random((60, 9)) < 0.5, rng.random((60, 9)) < 0.6
+        rows[:, 0] = cols[:, 0] = True
+        got = masked_norms(a, rows, cols)
+        shift = math.frexp(float(np.abs(a).max()))[1]
+        want = [math.ldexp(jacobi_spectral_norm(np.ldexp(a[np.ix_(rb, cb)], -shift)), shift)
+                for rb, cb in zip(rows, cols)]
+        assert np.all(got > 0.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_zero_block_and_single_entry(self):
+        a = np.zeros((8, 8))
+        a[6, 7] = -3.0e-200
+        rows = np.zeros((4, 8), dtype=bool)
+        cols = np.zeros((4, 8), dtype=bool)
+        rows[0, :5] = cols[0, 1:6] = True          # inside the zero block
+        rows[1, 4:] = cols[1, 3:] = True           # holds the one entry, 4 x 5
+        rows[2, 6] = cols[2, 7] = True             # the entry alone
+        rows[3, [0, 6]] = cols[3, [2, 5, 7]] = True
+        got = masked_norms(a, rows, cols)
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert list(got[1:]) == [3.0e-200] * 3
+
 
 class TestChunkSizeDeterminism:
     """Outputs are bitwise identical whatever the batch size of the kernels."""
@@ -252,6 +293,18 @@ class TestChunkSizeDeterminism:
     def test_masked_norms(self, monkeypatch, rng):
         a = rng.uniform(-1.0, 1.0, (9, 9))
         rows, cols = rng.random((300, 9)) < 0.5, rng.random((300, 9)) < 0.5
+        default, single = self._both(monkeypatch, lambda: masked_norms(a, rows, cols))
+        assert np.array_equal(default, single)
+
+    def test_masked_norms_at_the_gram_limit(self, monkeypatch, rng):
+        """Buckets at k = 64 (the Gram kernel's largest) and k = 65 (SVD)."""
+        a = rng.uniform(-1.0, 1.0, (70, 70))
+        rows = np.zeros((16, 70), dtype=bool)
+        cols = np.zeros((16, 70), dtype=bool)
+        for j, (r, c) in enumerate(itertools.product((64, 65), repeat=2)):
+            for row in range(4 * j, 4 * j + 4):
+                rows[row, rng.choice(70, r, replace=False)] = True
+                cols[row, rng.choice(70, c, replace=False)] = True
         default, single = self._both(monkeypatch, lambda: masked_norms(a, rows, cols))
         assert np.array_equal(default, single)
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import pavelab.polynomials
+
 from pavelab import (
     CapacityError,
     DenseMatrix,
@@ -46,6 +48,16 @@ def test_subset_traces_match_per_mask_matrix_power(rng, n):
                 # rounding scale: the same walk sum over |entries|
                 scale = np.trace(np.linalg.matrix_power(np.abs(block), p)) if sel.size else 0.0
                 assert abs(got - want) <= 1e-13 * scale, (n, p, sel)
+
+
+def test_trace_only_callers_compute_no_norms(monkeypatch, rng):
+    def fail(*args):
+        raise AssertionError("masked_norms called")
+
+    monkeypatch.setattr(pavelab.polynomials, "masked_norms", fail)
+    x = _symmetric_contraction(rng, 6)
+    pc = trace_moment_polynomial(x, 4)
+    assert restricted_trace_moment(x, 4, 0.3) == pytest.approx(pc.evaluate(0.3), rel=1e-12)
 
 
 class TestTraceMomentPolynomial:
@@ -152,6 +164,10 @@ class TestSandwich:
         # p = 2 < 2 log 8
         with pytest.raises(PreconditionError):
             check_polynomial_sandwich(DenseMatrix.zeros(8), 2, [0.5])
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(PreconditionError, match="nonempty"):
+            check_polynomial_sandwich(DenseMatrix.zeros(0), 4, [0.5])
 
     def test_capacity_past_bernoulli_cap(self, rng):
         # n = 15 passes every hypothesis (p = 6 >= 2 log 15) and hits the 2^n cap
@@ -267,6 +283,10 @@ class TestExtrapolation:
             check_extrapolation(x, 0.5, 0.25, 0.5, 3)  # odd p
         with pytest.raises(PreconditionError):
             check_extrapolation(DenseMatrix(2 * np.eye(4)), 0.5, 0.25, 0.5, 4)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(PreconditionError, match="nonempty"):
+            check_extrapolation(DenseMatrix.zeros(0), 0.5, 0.25, 0.5, 4)
 
     def test_mc_without_seed(self, rng):
         x = _symmetric_contraction(rng, 4)
