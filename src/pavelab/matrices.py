@@ -181,6 +181,14 @@ class Partition:
         return cls(n, tuple(CoordinateSet.from_iterable(n, b) for b in blocks))
 
     @classmethod
+    def from_labels(cls, labels) -> "Partition":
+        """Partition of range(len(labels)) with one block per distinct label."""
+        blocks: dict = {}
+        for i, label in enumerate(np.asarray(labels).tolist()):
+            blocks.setdefault(label, []).append(i)
+        return cls.from_blocks(len(labels), blocks.values())
+
+    @classmethod
     def singletons(cls, n: int) -> "Partition":
         return cls.from_blocks(n, [[i] for i in range(n)])
 

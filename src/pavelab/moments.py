@@ -121,10 +121,10 @@ def _count_weights(counts: np.ndarray, n: int, rate: float) -> np.ndarray:
 
 def subset_bits(n: int, k: int) -> np.ndarray:
     """All C(n, k) masks of weight k, lexicographic order."""
-    combos = list(itertools.combinations(range(n), k))
-    bits = np.zeros((len(combos), n), dtype=np.float64)
-    for row, combo in enumerate(combos):
-        bits[row, list(combo)] = 1.0
+    combos = itertools.combinations(range(n), k)
+    idx = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp)
+    bits = np.zeros((math.comb(n, k), n))
+    np.put_along_axis(bits, idx.reshape(len(bits), k), 1.0, axis=1)
     return bits
 
 

@@ -1,22 +1,29 @@
 """Paving construction: randomized permutation search and exhaustive oracle.
 
-The randomized engine keeps the best of `trials` permutation-induced balanced
-partitions (existence-by-expectation made constructive); the exhaustive
-engine enumerates the whole partition class at small n and is the oracle the
-randomized path is tested against.
+Both engines encode a candidate partition as a label row giving each
+coordinate's block in 0..m-1, and share one scorer, `_search`: it turns
+label rows into bool block masks in one step, norms them with one
+`masked_norms` call, and keeps the first minimum of each row's largest
+block norm.  The randomized engine keeps the best of `trials`
+permutation-induced balanced partitions (existence-by-expectation made
+constructive), drawn by `sampling.permutation_labels` and scored in rounds
+against the running best.  The exhaustive engine enumerates the whole
+partition class at small n with one generator of restricted-growth label
+rows, `_partition_labels`, and is the oracle the randomized path is tested
+against.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments  # for the round size, read at call time
 from .errors import CapacityError, ParameterError
 from .matrices import DenseMatrix, Partition, paving_quality, spectral_norm
 from .moments import masked_norms
-from .sampling import Seed, permutation_draws
+from .sampling import Seed, permutation_labels
 
 EXHAUSTIVE_BALANCED_MAX_N = 12
 EXHAUSTIVE_GENERAL_MAX_N = 10
@@ -43,14 +50,24 @@ class PavingCheck:
         return self.holds
 
 
-def _quality_argmin(a: np.ndarray, block_masks: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Index of the first minimum-quality partition among stacked block masks.
+def _search(a: np.ndarray, m: int, rounds, seed: Seed | None) -> PavingResult:
+    """First minimum-quality partition over `rounds` of label rows.
 
-    `block_masks` has one row per block, m consecutive rows per partition.
+    Each round is a (trials, n) array giving every coordinate's block in
+    0..m-1; its rows become m bool masks each in one step and are normed by
+    one `masked_norms` call.  Each block norm depends only on its own block,
+    so the result does not depend on how the trials are split into rounds.
     """
-    norms = masked_norms(a, block_masks, block_masks)
-    qualities = norms.reshape(-1, m).max(axis=1)
-    return int(np.argmin(qualities)), qualities
+    best = quality = index = None
+    used = 0
+    for labels in rounds:
+        masks = (labels[:, None, :] == np.arange(m)[:, None]).reshape(-1, labels.shape[1])
+        qualities = masked_norms(a, masks, masks).reshape(-1, m).max(axis=1)
+        i = int(np.argmin(qualities))
+        if quality is None or qualities[i] < quality:
+            best, quality, index = labels[i], float(qualities[i]), used + i
+        used += len(labels)
+    return PavingResult(Partition.from_labels(best), quality, used, index, seed)
 
 
 def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult:
@@ -58,7 +75,8 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
 
     Deterministic given the seed; the quality is non-increasing in `trials`
     for a fixed seed (trial draws form a prefix-stable stream), and ties go
-    to the first trial achieving the minimum.
+    to the first trial achieving the minimum.  Trials are drawn and scored
+    in rounds of max(1, moments._BATCH // m), which bounds memory in `trials`.
     """
     if not a.is_square:
         raise ParameterError("paving needs a square matrix")
@@ -67,62 +85,39 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
         raise ParameterError(f"m={m} must divide n={n}; pad with pad_to_multiple first")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    k = n // m
-    # consecutive k-slices of each permutation are its blocks
-    perms = permutation_draws(seed.rng("random_pave"), trials, n)
-    block_of = np.repeat(np.arange(trials * m), k)
-    masks = np.zeros((trials * m, n), dtype=bool)
-    masks[block_of, perms.reshape(-1)] = True
-    best, qualities = _quality_argmin(a.data, masks, m)
-    return PavingResult(
-        partition=Partition.from_blocks(n, perms[best].reshape(m, k)),
-        quality=float(qualities[best]),
-        trials_used=trials,
-        best_trial_index=best,
-        seed=seed,
+    rng = seed.rng("random_pave")
+    step = max(1, moments._BATCH // m)
+    rounds = (
+        permutation_labels(rng, min(step, trials - start), n, m)
+        for start in range(0, trials, step)
     )
+    return _search(a.data, m, rounds, seed)
 
 
-def _balanced_partitions(n: int, m: int):
-    """All partitions of range(n) into m blocks of size n/m, each once."""
-    k = n // m
+def _partition_labels(n: int, m: int, size: int | None):
+    """Every partition of range(n) into m nonempty blocks, each once.
 
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
+    Blocks all have `size` coordinates unless it is None.  Rows are
+    restricted-growth labels (blocks numbered by smallest element), in
+    lexicographic order.
+    """
+    labels = [0] * n
+    fill = [0] * m
+
+    def rec(i: int, opened: int):
+        if n - i < m - opened:
             return
-        anchor, rest = remaining[0], remaining[1:]
-        for combo in itertools.combinations(rest, k - 1):
-            block = (anchor,) + combo
-            taken = set(combo)
-            tail = tuple(x for x in rest if x not in taken)
-            for others in rec(tail):
-                yield (block,) + others
-
-    return rec(tuple(range(n)))
-
-
-def _set_partitions(n: int, m: int):
-    """All partitions of range(n) into exactly m nonempty blocks, each once."""
-    blocks: list[list[int]] = []
-
-    def rec(i: int):
         if i == n:
-            if len(blocks) == m:
-                yield tuple(tuple(b) for b in blocks)
+            yield tuple(labels)
             return
-        left = n - i
-        for b in blocks:
-            if len(blocks) + left - 1 >= m:
-                b.append(i)
-                yield from rec(i + 1)
-                b.pop()
-        if len(blocks) < m:
-            blocks.append([i])
-            yield from rec(i + 1)
-            blocks.pop()
+        for j in range(min(opened + 1, m)):
+            if size is None or fill[j] < size:
+                labels[i] = j
+                fill[j] += 1
+                yield from rec(i + 1, max(opened, j + 1))
+                fill[j] -= 1
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def _stirling2(n: int, m: int) -> int:
@@ -152,27 +147,17 @@ def exhaustive_pave(a: DenseMatrix, m: int, balanced_only: bool = True) -> Pavin
             raise CapacityError(
                 f"balanced enumeration of n={n}, m={m} needs {count} partitions"
             )
-        partitions = list(_balanced_partitions(n, m))
+        size = n // m
     else:
         count = _stirling2(n, m)
         if n > EXHAUSTIVE_GENERAL_MAX_N:
             raise CapacityError(
                 f"set-partition enumeration of n={n}, m={m} needs {count} partitions"
             )
-        partitions = list(_set_partitions(n, m))
-    assert len(partitions) == count
-    masks = np.zeros((count * m, n), dtype=bool)
-    for row, part in enumerate(partitions):
-        for j, block in enumerate(part):
-            masks[row * m + j, list(block)] = True
-    best, qualities = _quality_argmin(a.data, masks, m)
-    return PavingResult(
-        partition=Partition.from_blocks(n, partitions[best]),
-        quality=float(qualities[best]),
-        trials_used=count,
-        best_trial_index=best,
-        seed=None,
-    )
+        size = None
+    labels = np.array(list(_partition_labels(n, m, size)))
+    assert labels.shape[0] == count
+    return _search(a.data, m, [labels], None)
 
 
 def pad_to_multiple(a: DenseMatrix, m: int) -> DenseMatrix:

@@ -3,7 +3,7 @@
 Every draw is a pure function of (master seed, stream label, index), so
 trials can be generated in any order, or in parallel, and reproduce bitwise.
 Each projector law has one batched sampler (`draw_patterns`, and
-`permutation_draws` for permutation partitions); single draws are batches
+`permutation_labels` for permutation partitions); single draws are batches
 of one.
 """
 from __future__ import annotations
@@ -130,12 +130,16 @@ def draw_patterns(model: ProjectorModel, rng: np.random.Generator, trials: int) 
     raise ParameterError(f"unknown model {model!r}")
 
 
-def permutation_draws(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    """`trials` uniform permutations of range(n), one per row.
+def permutation_labels(rng: np.random.Generator, trials: int, n: int, m: int) -> np.ndarray:
+    """`trials` balanced m-partitions of range(n) as label rows.
 
-    Row-major key generation keeps the draws prefix-stable in `trials`.
+    Each row cuts a uniform permutation into consecutive n/m slices and gives
+    every coordinate the index of its slice.  Row-major key generation keeps
+    the draws prefix-stable: rows drawn in several calls equal one call's.
     """
-    return np.argsort(rng.random((trials, n)), axis=1)
+    perms = np.argsort(rng.random((trials, n)), axis=1)
+    # a coordinate's position in its permutation, over n/m, is its slice
+    return np.argsort(perms, axis=1) // (n // m)
 
 
 def sample_subset(model: ProjectorModel, seed: Seed, index: int = 0):
@@ -155,9 +159,8 @@ def sample_permutation_partition(n: int, m: int, seed: Seed, index: int = 0) -> 
     """Balanced partition into m blocks cut from a uniform random permutation."""
     if m <= 0 or n % m != 0:
         raise ParameterError(f"m={m} must divide n={n}")
-    k = n // m
-    perm = permutation_draws(seed.rng("permutation_partition", index), 1, n)[0]
-    return Partition.from_blocks(n, [perm[j * k:(j + 1) * k] for j in range(m)])
+    labels = permutation_labels(seed.rng("permutation_partition", index), 1, n, m)
+    return Partition.from_labels(labels[0])
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,20 @@ class TestChunkSizeDeterminism:
         assert default.best_trial_index == single.best_trial_index
         assert default.partition == single.partition
 
+    def test_random_pave_with_a_partial_last_round(self, monkeypatch, rng):
+        """1001 trials: one round at the default batch, 4 rounds of 300 and a
+        partial one at 900 (rounds of 900 // m), one trial per round at 1.
+        On the identity every trial ties, and the first one wins."""
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (24, 24)))
+        results = []
+        for batch in (moments._BATCH, 900, 1):
+            monkeypatch.setattr(moments, "_BATCH", batch)
+            res = random_pave(a, 3, 1001, Seed(8))
+            results.append((res.quality, res.best_trial_index, res.partition, res.trials_used))
+            assert random_pave(DenseMatrix.identity(24), 3, 1001, Seed(8)).best_trial_index == 0
+        assert results[0] == results[1] == results[2]
+        assert results[0][3] == 1001
+
 
 _LAYER_MODELS = [Bernoulli(6, 0.3), UniformK(6, 2), BernoulliPair(4, 0.4), RademacherSigns(7)]
 

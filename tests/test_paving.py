@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,18 @@ class TestRandomPave:
             assert type(res.quality) is float
             assert res.quality == paving_quality(a, res.partition)
 
+    def test_memory_is_bounded_in_trials(self):
+        """Trials are drawn and scored in rounds, so 20,000 trials at n = 64
+        never hold all 160,000 block masks (and their keys) at once."""
+        a = DenseMatrix(np.random.default_rng(3).uniform(-1, 1, (64, 64)))
+        tracemalloc.start()
+        try:
+            random_pave(a, 8, 20_000, Seed(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
     def test_transpose_same_quality(self, rng):
         a = _hollow(rng, 6)
         res = random_pave(a, 2, 40, Seed(5))
@@ -148,6 +162,31 @@ class TestExhaustivePave:
         opt = exhaustive_pave(a, 3).quality
         got = random_pave(a, 3, 2000, Seed(4)).quality
         assert got == pytest.approx(opt, abs=1e-12)
+
+
+class TestExhaustiveAgainstOracle:
+    """Both exhaustive classes against `all_set_partitions`, every n <= 8 and m."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sweep(self, rng, n):
+        a = DenseMatrix(rng.uniform(-1, 1, (n, n)))
+        for m in range(1, n + 1):
+            oracle = list(all_set_partitions(n, m))
+            quality = {p: paving_quality(a, Partition.from_blocks(n, p)) for p in oracle}
+            classes = [(False, None, oracle)]
+            if n % m == 0:
+                k = n // m
+                classes.append((True, k, [p for p in oracle if {len(b) for b in p} == {k}]))
+            for balanced_only, size, parts in classes:
+                keys = [
+                    tuple(b.indices for b in Partition.from_labels(row).blocks)
+                    for row in pavelab.paving._partition_labels(n, m, size)
+                ]
+                # the oracle's partitions are distinct, so this is each once
+                assert sorted(keys) == sorted(parts)
+                res = exhaustive_pave(a, m, balanced_only=balanced_only)
+                assert res.trials_used == len(parts)
+                assert res.quality == min(quality[p] for p in parts)
 
 
 class TestPadToMultiple:
