@@ -15,6 +15,7 @@ from . import bounds, fileio, suites
 from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
 from .inequalities import CASE_IDS, format_report, verify_inequality
 from .matrices import (
+    UNIT_NORM_TOL,
     DenseMatrix,
     Partition,
     max_abs_entry,
@@ -76,7 +77,7 @@ def _cmd_gen(args) -> int:
     fileio.write_matrix(a, args.out)
     norm = spectral_norm(a)
     entry = max_abs_entry(a)
-    unit = abs(norm - 1.0) <= 1e-9
+    unit = abs(norm - 1.0) <= UNIT_NORM_TOL
     entry_ok = entry <= bound if math.isfinite(bound) else False
     print(f"wrote {args.out}")
     print(f"n={args.n}")

@@ -211,6 +211,9 @@ class Partition:
 # convention; a Bernoulli draw may select no coordinates at all.
 # ---------------------------------------------------------------------------
 
+UNIT_NORM_TOL = 1e-9  # |norm - 1| within which a matrix counts as unit norm
+
+
 def spectral_norm(a: DenseMatrix) -> float:
     """Largest singular value (operator norm on Euclidean space)."""
     if a.is_empty:

@@ -363,14 +363,17 @@ def pattern_norms(a: np.ndarray, model: ProjectorModel, patterns: tuple) -> np.n
     return masked_norms(a, patterns[0], patterns[-1])
 
 
+SLACK = 1e-12  # rounding slack of every exact comparison
+
+
 def verdict(lhs: float, rhs: float, se: float, exact: bool) -> tuple[bool, float]:
     """(holds, lhs / rhs) for a moment inequality lhs <= rhs.
 
-    Exact sides compare strictly up to a 1e-12 relative slack; Monte Carlo
+    Exact sides compare strictly up to a relative slack of SLACK; Monte Carlo
     sides only fail when the gap exceeds three combined standard errors.
     """
     if exact:
-        holds = lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+        holds = lhs <= rhs + SLACK * max(1.0, abs(rhs))
     else:
         holds = (lhs - rhs) <= 3.0 * se
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)

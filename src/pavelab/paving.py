@@ -81,6 +81,8 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
     if not a.is_square:
         raise ParameterError("paving needs a square matrix")
     n = a.n_rows
+    if n == 0:
+        raise ParameterError("paving needs a nonempty matrix")
     if m <= 0 or n % m != 0:
         raise ParameterError(f"m={m} must divide n={n}; pad with pad_to_multiple first")
     if trials < 1:

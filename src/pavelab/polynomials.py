@@ -21,9 +21,10 @@ import numpy as np
 
 from .bounds import extrapolation_bound, extrapolation_constant
 from .errors import CapacityError, ParameterError, PreconditionError
-from .matrices import DenseMatrix, spectral_norm
+from .matrices import UNIT_NORM_TOL, DenseMatrix, spectral_norm
 from .moments import (
     EXACT_BERNOULLI_MAX_N,
+    SLACK,
     bernoulli_weights,
     exact_pattern_values,
     masked_norms,
@@ -34,7 +35,6 @@ from .moments import (
 from .sampling import Bernoulli, Seed
 
 TRACE_POLY_MAX_P = 12
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _contraction_p(x: DenseMatrix, norm: float, p) -> int:
     even >= 2 log n."""
     if not x.is_square or x.is_empty:
         raise PreconditionError(f"needs a nonempty square matrix, got {x.n_rows}x{x.n_cols}")
-    if norm > 1.0 + 1e-9:
+    if norm > 1.0 + UNIT_NORM_TOL:
         raise PreconditionError(f"needs ||X|| <= 1, got {norm}")
     if int(p) != p or int(p) % 2 != 0 or p < 2:
         raise PreconditionError(f"p must be a positive even integer, got {p}")
@@ -175,11 +175,11 @@ def check_polynomial_sandwich(x: DenseMatrix, p, s_grid) -> SandwichReport:
     t_vals = [float(np.sum(w * traces)) for w in weights]
     scale = math.exp(p)
     holds = all(
-        f <= t + _SLACK and t <= scale * f + _SLACK
+        f <= t + SLACK and t <= scale * f + SLACK
         for f, t in zip(f_vals, t_vals)
     )
     monotone = all(
-        f_vals[i] <= f_vals[i + 1] + _SLACK for i in range(len(f_vals) - 1)
+        f_vals[i] <= f_vals[i + 1] + SLACK for i in range(len(f_vals) - 1)
     )
     return SandwichReport(
         s_grid=grid,
@@ -217,7 +217,7 @@ def check_markov(coeffs, d: int) -> MarkovReport:
     bounds = [d ** k / math.factorial(k) * sup for k in range(c.size)]
     exp_bound = math.exp(d) * sup
     holds = all(
-        abs(ck) <= bk + _SLACK * max(1.0, bk) and bk <= exp_bound + _SLACK * max(1.0, exp_bound)
+        abs(ck) <= bk + SLACK * max(1.0, bk) and bk <= exp_bound + SLACK * max(1.0, exp_bound)
         for ck, bk in zip(c, bounds)
     )
     return MarkovReport(

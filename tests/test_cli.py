@@ -175,6 +175,37 @@ class TestPave:
         assert code == EXIT_USAGE
 
 
+
+_DEGENERATE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2)]
+_DEGENERATE_RUNS = [("pave", "-m", m, "--trials", "5") for m in ("1", "2", "3")] + [
+    ("scan", "--vary", vary, "--grid", grid, *extra, "--method", method, "--trials", "50")
+    for vary, grid, extra in [
+        ("rho", "0.5", ["--p", "4"]),
+        ("p", "2,4", ["--rate", "0.5"]),
+        ("delta", "0.3", ["--p", "4"]),
+    ]
+    for method in ("exact", "mc")
+]
+
+
+@pytest.mark.parametrize("shape", _DEGENERATE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("argv", _DEGENERATE_RUNS, ids=lambda a: "_".join(t.lstrip("-") for t in a))
+def test_degenerate_shapes_exit_cleanly(capsys, tmp_path, shape, argv):
+    """Every run on an empty, 1x1 or 2x2 matrix maps to a documented exit
+    code, and a usage error leaves no output file."""
+    src, out_path = tmp_path / "m.txt", tmp_path / "out.txt"
+    write_matrix(DenseMatrix(np.full(shape, 0.5)), src)
+    code, _, err = run(capsys, argv[0], str(src), *argv[1:], "--seed", "1",
+                       "--out", str(out_path))
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY)
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+    if shape == (0, 0) and argv[0] == "pave":
+        assert code == EXIT_USAGE
+
+
 class TestVerify:
     def test_decoupling_tiny(self, capsys):
         code, out, _ = run(capsys, "verify", "DECOUPLING", "--size", "tiny")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -238,3 +239,99 @@ def test_report_format_fields(rng):
     for key in ("case=MODEL_EQUIV", "n=6", "p=4", "lhs=", "rhs=", "ratio=",
                 "method=exact", "trials=0", "seed=-", "holds=yes"):
         assert key in line
+
+
+def _valid_instances():
+    """One instance per case that meets every hypothesis of that case."""
+    rng = np.random.default_rng(3)
+    hollow = rng.uniform(-1, 1, (4, 4))
+    np.fill_diagonal(hollow, 0.0)
+    return {
+        "MODEL_EQUIV": InequalityInstance(
+            matrix=DenseMatrix(rng.uniform(-1, 1, (4, 4))), k=2, p=2.0),
+        "DECOUPLING": InequalityInstance(matrix=DenseMatrix(hollow), rate=0.5, p=2.0),
+        "RESTRICT_RV": InequalityInstance(
+            matrix=DenseMatrix(rng.uniform(-1, 1, (4, 4))), rate=0.5, p=4.0),
+        "COLNORM": InequalityInstance(
+            matrix=DenseMatrix(rng.uniform(-1, 1, (8, 8))), rate=0.5, p=6.0),
+        "RUDELSON": InequalityInstance(matrix=DenseMatrix(rng.uniform(-1, 1, (4, 4))), p=4.0),
+        "NC_KHINTCHINE": InequalityInstance(
+            matrices=(DenseMatrix.identity(3), DenseMatrix.zeros(3)), p=2.0),
+        "SCALAR_KHINTCHINE": InequalityInstance(vector=(3.0, 4.0), p=2.0),
+        "STEP3": InequalityInstance(matrix=DenseMatrix.identity(8), mu=1.0, rate=0.3, p=6.0),
+        "EXTRAP": InequalityInstance(
+            matrix=DenseMatrix(np.eye(4) / 2.0), delta=0.5, rho=0.25, lam=0.5, p=4.0),
+    }
+
+
+# (case, change to the valid instance, the one hypothesis that change breaks)
+_FAILED_HYPOTHESES = [
+    ("MODEL_EQUIV", {"matrix": None}, "matrix required"),
+    ("MODEL_EQUIV", {"matrix": DenseMatrix.zeros(4, 5)}, "matrix must be square"),
+    ("MODEL_EQUIV", {"k": None}, "1 <= k <= n"),
+    ("MODEL_EQUIV", {"k": 5}, "1 <= k <= n"),
+    ("MODEL_EQUIV", {"k": 3}, "k must divide n"),
+    ("MODEL_EQUIV", {"p": 0.0}, "p > 0"),
+    ("DECOUPLING", {"matrix": None}, "matrix required"),
+    ("DECOUPLING", {"matrix": DenseMatrix.zeros(4, 3)}, "matrix must be square"),
+    ("DECOUPLING", {"matrix": DenseMatrix.identity(4)}, "zero diagonal"),
+    ("DECOUPLING", {"p": 0.5}, "p >= 1"),
+    ("DECOUPLING", {"rate": None}, "rate in [0, 1]"),
+    ("DECOUPLING", {"rate": 1.5}, "rate in [0, 1]"),
+    ("RESTRICT_RV", {"matrix": None}, "matrix required"),
+    ("RESTRICT_RV", {"matrix": DenseMatrix.zeros(4, 5)}, "matrix must be square"),
+    ("RESTRICT_RV", {"matrix": DenseMatrix.identity(2)}, "2 log n >= 2"),
+    ("RESTRICT_RV", {"matrix": DenseMatrix.zeros(0)}, "2 log n >= 2"),
+    ("RESTRICT_RV", {"p": 2.0}, "p >= 2 log n"),
+    ("RESTRICT_RV", {"rate": -0.1}, "rate in [0, 1]"),
+    ("COLNORM", {"matrix": None}, "matrix required"),
+    ("COLNORM", {"matrix": DenseMatrix.zeros(8, 7)}, "matrix must be square"),
+    ("COLNORM", {"matrix": DenseMatrix.identity(7)}, "2 log n >= 4"),
+    ("COLNORM", {"p": 4.0}, "p >= 2 log n"),
+    ("COLNORM", {"rate": None}, "rate in [0, 1]"),
+    ("RUDELSON", {"matrix": None}, "matrix required"),
+    ("RUDELSON", {"matrix": DenseMatrix.zeros(3, 0)}, "at least one column"),
+    ("RUDELSON", {"matrix": DenseMatrix.zeros(4, 1), "p": 1.5}, "p >= 2"),
+    ("RUDELSON", {"p": 2.0}, "p >= 2 log n_cols"),
+    ("NC_KHINTCHINE", {"matrices": None}, "matrix sequence required"),
+    ("NC_KHINTCHINE", {"matrices": ()}, "matrix sequence required"),
+    ("NC_KHINTCHINE", {"matrices": (DenseMatrix.zeros(2), DenseMatrix.zeros(2, 3))},
+     "matrices must share one shape"),
+    ("NC_KHINTCHINE", {"p": 1.0}, "p >= 2"),
+    ("SCALAR_KHINTCHINE", {"vector": None}, "coefficient vector required"),
+    ("SCALAR_KHINTCHINE", {"vector": ()}, "coefficient vector required"),
+    ("SCALAR_KHINTCHINE", {"p": 1.0}, "q >= 2"),
+    ("STEP3", {"matrix": None}, "matrix required"),
+    ("STEP3", {"matrix": DenseMatrix.zeros(8, 9)}, "matrix must be square"),
+    ("STEP3", {"matrix": DenseMatrix.identity(4), "p": 4.0}, "n >= 8"),
+    ("STEP3", {"matrix": DenseMatrix(np.eye(8) / 2.0)}, "unit spectral norm"),
+    ("STEP3", {"mu": None}, "mu > 0"),
+    ("STEP3", {"mu": 0.0}, "mu > 0"),
+    ("STEP3", {"mu": 0.5}, "entries bounded by mu"),
+    ("STEP3", {"rate": 0.0}, "rate in (0, 1)"),
+    ("STEP3", {"rate": 1.0}, "rate in (0, 1)"),
+    ("STEP3", {"p": 4.0}, "p = 2 ceil(log n)"),
+    ("EXTRAP", {"matrix": None}, "matrix required"),
+    ("EXTRAP", {"matrix": DenseMatrix(np.ones((4, 5)) / 5.0)}, "matrix must be square"),
+    ("EXTRAP", {"delta": None}, "delta, rho, lambda required"),
+    ("EXTRAP", {"rho": None}, "delta, rho, lambda required"),
+    ("EXTRAP", {"lam": None}, "delta, rho, lambda required"),
+]
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_valid_instances_pass_their_hypotheses(method):
+    for cid, inst in _valid_instances().items():
+        verify_inequality(cid, inst, method=method, trials=50, seed=Seed(1))
+
+
+@pytest.mark.parametrize(
+    "case_id, change, what", _FAILED_HYPOTHESES,
+    ids=[f"{cid}-{i}" for i, (cid, _, _) in enumerate(_FAILED_HYPOTHESES)],
+)
+def test_each_case_hypothesis_names_itself(case_id, change, what):
+    inst = dataclasses.replace(_valid_instances()[case_id], **change)
+    for method in ("exact", "mc"):
+        with pytest.raises(PreconditionError) as info:
+            verify_inequality(case_id, inst, method=method, trials=50, seed=Seed(1))
+        assert str(info.value) == f"{case_id}: hypothesis failed: {what}"

@@ -51,6 +51,11 @@ class TestRandomPave:
         with pytest.raises(ParameterError):
             random_pave(DenseMatrix.identity(4), 2, 0, Seed(0))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rejects_empty_matrix(self, m):
+        with pytest.raises(ParameterError, match="nonempty"):
+            random_pave(DenseMatrix.zeros(0), m, 3, Seed(0))
+
     def test_deterministic(self, rng):
         a = _hollow(rng, 8)
         r1 = random_pave(a, 2, 50, Seed(13))
