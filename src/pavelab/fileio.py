@@ -4,14 +4,20 @@ Matrix format: first line "n_rows n_cols", then one line per row of
 space-separated decimal literals.  The writer emits 17 significant digits so
 files round-trip float64 exactly; the parser accepts scientific notation.
 
-The matrix body is parsed in bulk: one `np.loadtxt` call over the n_rows body
-lines, kept only when it yields exactly an n_rows x n_cols array.  loadtxt
-accepts a subset of what `float()` accepts and converts it to the same bits,
-so on any other input (tabs, repeated or edge spaces, `1_0`, non-ASCII
-digits, a malformed token, a short or long row) the per-row loop decides.
-That loop defines the grammar (whitespace-split tokens, each read by
-`float()`) and is the only source of the row-numbered error messages.  The
-writer formats each row with one `%` on a row template.
+The matrix body is parsed in bulk, in chunks of `_CHUNK_ROWS` rows: each
+chunk goes through one `np.loadtxt` call into one preallocated n_rows x
+n_cols array, and the result is kept only when every chunk yields exactly
+its rows.  loadtxt accepts a subset of what `float()` accepts and converts
+it to the same bits, so on any other input (tabs, repeated or edge spaces,
+`1_0`, non-ASCII digits, a malformed token, a short or long row) the per-row
+loop decides.  That loop defines the grammar (whitespace-split tokens, each
+read by `float()`) and is the only source of the row-numbered error
+messages.  `read_matrix` feeds the chunks straight from the open file, so it
+never holds the whole text; any file they do not cleanly accept (too few
+rows, a decode error, a line break that `str.splitlines` takes and file
+iteration does not) is read whole and parsed by `matrix_from_text`, which
+gives the same bits or the same error.  The writer formats each row with
+one `%` on a row template and streams the rows to the file.
 
 Partition format: one line per block of space-separated indices, blocks
 ordered by smallest element.
@@ -22,40 +28,53 @@ A file that does not decode as text is a `FormatError` naming the file.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import stat
 import warnings
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import FormatError
 from .matrices import DenseMatrix, Partition
 
+_CHUNK_ROWS = 64
+
+
+def _matrix_lines(a: DenseMatrix) -> Iterator[str]:
+    yield f"{a.n_rows} {a.n_cols}\n"
+    row_format = " ".join(["%.17g"] * a.n_cols) + "\n"
+    for row in a.data:
+        yield row_format % tuple(row.tolist())
+
 
 def matrix_to_text(a: DenseMatrix) -> str:
-    row_format = " ".join(["%.17g"] * a.n_cols) + "\n"
-    lines = [f"{a.n_rows} {a.n_cols}\n"]
-    lines.extend(row_format % tuple(row.tolist()) for row in a.data)
-    return "".join(lines)
+    return "".join(_matrix_lines(a))
+
+
+def _header(line: str) -> tuple[int, int]:
+    head = line.split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'n_rows n_cols', got {line!r}")
+    try:
+        n_rows, n_cols = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"bad header {line!r}") from exc
+    if n_rows < 0 or n_cols < 0:
+        raise FormatError("negative dimensions")
+    return n_rows, n_cols
 
 
 def matrix_from_text(text: str) -> DenseMatrix:
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty matrix file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'n_rows n_cols', got {lines[0]!r}")
-    try:
-        n_rows, n_cols = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
-    if n_rows < 0 or n_cols < 0:
-        raise FormatError("negative dimensions")
+    n_rows, n_cols = _header(lines[0])
     body = lines[1:]
     if len(body) < n_rows:
         raise FormatError(f"expected {n_rows} rows, found {len(body)}")
-    data = _parse_bulk(body[:n_rows], (n_rows, n_cols)) if n_rows and n_cols else None
+    data = _parse_rows(iter(body), n_rows, n_cols)
     if data is None:
         rows = []
         for i in range(n_rows):
@@ -70,15 +89,36 @@ def matrix_from_text(text: str) -> DenseMatrix:
     return DenseMatrix(data)
 
 
-def _parse_bulk(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
-    """`lines` parsed in one call, or None where the per-row loop must decide."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an all-blank body warns; the loop rejects it
-            data = np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
-    except ValueError:
+def _parse_rows(lines: Iterator[str], n_rows: int, n_cols: int) -> np.ndarray | None:
+    """The next n_rows of `lines` parsed into one array, `_CHUNK_ROWS` lines
+    per `np.loadtxt` call, or None where the per-row loop must decide."""
+    if not (n_rows and n_cols):
         return None
-    return data if data.shape == shape else None
+    data = np.empty((n_rows, n_cols))
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = data[start:start + _CHUNK_ROWS]
+        chunk = list(itertools.islice(lines, len(rows)))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty or all-blank chunk warns
+                parsed = np.loadtxt(chunk, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if parsed.shape != rows.shape:
+            return None
+        rows[...] = parsed
+    return data
+
+
+def _single_lines(fh: TextIO) -> Iterator[str]:
+    """The file's lines without their endings, up to the first one that
+    `str.splitlines` would split further (at a form feed, \\x85, \\u2028 or
+    another break that file iteration keeps inside a line)."""
+    for line in fh:
+        parts = line.splitlines()
+        if len(parts) != 1:
+            return
+        yield parts[0]
 
 
 def _read_text(path: str | os.PathLike) -> str:
@@ -92,21 +132,23 @@ def _read_text(path: str | os.PathLike) -> str:
             ) from None
 
 
-def write_text(path: str | os.PathLike, text: str) -> None:
-    """Write `text` to `path` atomically.
+def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write `text`, a string or an iterable of strings, to `path` atomically.
 
     The text goes to a new temp file in the target's directory, created with
     the mode of the existing target (or the mode a plain open() would give
-    a new file), which is then renamed onto the target; a failure mid-write
-    leaves any previous file untouched and no temp file behind.  An existing
-    target that open() would not write (a read-only file) is refused the
-    same way.  A symlink keeps pointing at the new file; a hard link to the
+    a new file), which is then renamed onto the target; a failure mid-write,
+    in writing or in producing the text, leaves any previous file untouched
+    and no temp file behind.  An existing target that open() would not write
+    (a read-only file) is refused the same way.  A symlink keeps pointing at the new file; a hard link to the
     old file keeps the old contents.  A target that exists but is no regular
     file (/dev/stdout, a pipe) cannot be replaced and is written in place.
     """
+    pieces = [text] if isinstance(text, str) else text
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -125,7 +167,8 @@ def write_text(path: str | os.PathLike, text: str) -> None:
         with open(fd, "w") as fh:
             if mode is not None:
                 os.fchmod(fd, mode)
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -134,11 +177,18 @@ def write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
-    write_text(path, matrix_to_text(a))
+    write_text(path, _matrix_lines(a))
 
 
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
-    return matrix_from_text(_read_text(path))
+    """The matrix in the file at `path`, parsed from the open file in chunks
+    of rows; a file the chunks do not cleanly accept is read whole and goes
+    through `matrix_from_text`, the grammar and the source of every error."""
+    data = None
+    with open(path) as fh, contextlib.suppress(FormatError, UnicodeDecodeError):
+        lines = _single_lines(fh)
+        data = _parse_rows(lines, *_header(next(lines, "")))
+    return matrix_from_text(_read_text(path)) if data is None else DenseMatrix(data)
 
 
 def partition_to_text(part: Partition) -> str:

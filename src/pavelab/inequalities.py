@@ -229,6 +229,7 @@ def _rudelson(inst, method, trials, seed):
     x, p = inst.matrix, inst.p
     _need(x is not None, "RUDELSON", "matrix required")
     _need(x.n_cols >= 1, "RUDELSON", "at least one column")
+    _need(x.n_rows >= 1, "RUDELSON", "at least one row")
     _need(p >= 2.0, "RUDELSON", "p >= 2")
     _need(p >= 2.0 * math.log(x.n_cols), "RUDELSON", "p >= 2 log n_cols")
     est = moment(x, RademacherSigns(x.n_cols), p, method, trials, seed)
@@ -240,6 +241,7 @@ def _nc_khintchine(inst, method, trials, seed):
     _need(bool(inst.matrices), "NC_KHINTCHINE", "matrix sequence required")
     _need(len({m.shape for m in inst.matrices}) == 1, "NC_KHINTCHINE",
           "matrices must share one shape")
+    _need(inst.matrices[0].data.size > 0, "NC_KHINTCHINE", "nonempty matrices")
     _need(inst.p >= 2, "NC_KHINTCHINE", "p >= 2")
     mats = np.stack([m.data for m in inst.matrices])
     p = inst.p
@@ -263,6 +265,7 @@ def _nc_khintchine(inst, method, trials, seed):
 
 def _scalar_khintchine(inst, method, trials, seed):
     _need(bool(inst.vector), "SCALAR_KHINTCHINE", "coefficient vector required")
+    _need(all(map(math.isfinite, inst.vector)), "SCALAR_KHINTCHINE", "finite coefficients")
     _need(inst.p >= 2, "SCALAR_KHINTCHINE", "q >= 2")
     a = np.asarray(inst.vector, dtype=float)
     q = inst.p

@@ -1,7 +1,10 @@
 import builtins
 import errno
+import itertools
 import os
 import stat
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,10 +66,10 @@ def test_empty_matrix_round_trip():
     assert matrix_from_text(matrix_to_text(a)).shape == (0, 0)
 
 
-def _outcome(parse, text):
+def _outcome(parse, source):
     """The parsed entries' bits and shape, or the error's type and message."""
     try:
-        a = parse(text)
+        a = parse(source)
     except PavelabError as exc:
         return type(exc).__name__, str(exc)
     return a.shape, a.data.tobytes()
@@ -76,7 +79,7 @@ def _assert_parses_like_reference(text):
     assert _outcome(matrix_from_text, text) == _outcome(oracles.matrix_from_text, text)
 
 
-@pytest.mark.parametrize("text", [
+_READER_CORPUS = [
     "2 2\n1\t2\n3 4\n",                     # tab between entries
     "2 2\n1\t 2\n3 4\t\n",                 # tab beside a space, trailing tab
     "2 2\n1  2\n3 4\n",                      # repeated space
@@ -101,7 +104,10 @@ def _assert_parses_like_reference(text):
     "0 3\n", "0 3\n1 2 3\n", "3 0\n\n\n\n", "3 0\n\n1\n\n", "3 0\n", "0 0\n",
     "1 1\n0.5\n", "1 1\n 0.5 \n",
     "", "2\n1 2\n", "a b\n", "-1 2\n", "2 2 2\n",
-])
+]
+
+
+@pytest.mark.parametrize("text", _READER_CORPUS)
 def test_reader_matches_reference(text):
     _assert_parses_like_reference(text)
 
@@ -145,6 +151,125 @@ def test_reader_matches_reference_on_written_matrices(rng):
         _assert_parses_like_reference(oracles.matrix_to_text(a))
 
 
+def _assert_file_parses_like_reference(path, text):
+    """The file at `path` holding `text` reads like the reference parses `text`,
+    and so does `matrix_from_text`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    expected = _outcome(oracles.matrix_from_text, text)
+    assert _outcome(read_matrix, path) == expected
+    assert _outcome(matrix_from_text, text) == expected
+
+
+_CHUNK_SIZES = [1, 2, 64]  # 64 rows is the default
+
+
+@pytest.mark.parametrize("chunk_rows", _CHUNK_SIZES)
+@pytest.mark.parametrize("text", _READER_CORPUS)
+def test_file_reader_matches_reference(text, chunk_rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    _assert_file_parses_like_reference(tmp_path / "m.txt", text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_rows,
+    sep=st.sampled_from([" ", " ", "\t", "\xa0"]),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    n_cols_shift=st.sampled_from([0, 0, 1, -1]),
+    chunk_rows=st.sampled_from(_CHUNK_SIZES),
+)
+def test_file_reader_matches_reference_on_fuzzed_rows(
+    rows, sep, newline, n_cols_shift, chunk_rows, tmp_path_factory
+):
+    n_cols = max(len(rows[0]) + n_cols_shift, 0)
+    text = newline.join([f"{len(rows)} {n_cols}"] + [sep.join(row) for row in rows]) + newline
+    with mock.patch.object(fileio, "_CHUNK_ROWS", chunk_rows):
+        _assert_file_parses_like_reference(tmp_path_factory.mktemp("fuzz") / "m.txt", text)
+
+
+# every break `str.splitlines` takes that file iteration does not
+_SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("chunk_rows", _CHUNK_SIZES)
+@pytest.mark.parametrize("brk", _SPLITLINES_ONLY_BREAKS, ids=ascii)
+@pytest.mark.parametrize("template", [
+    "2{}2\n1 2\n3 4\n",       # in the header
+    "2 2{}\n1 2\n3 4\n",      # ending the header
+    "2 2\n1{}2\n3 4\n",       # inside a row
+    "2 2\n1 2{}3 4\n",        # between rows: the reference accepts it
+    "2 2\n1 2{}\n3 4\n",      # ending a row
+    "2 2\n1 2\n3 4{}",        # ending the file
+    "3 2\n1 2\n3 4{}5 6\n",   # splitting the last row off the second chunk
+])
+def test_file_reader_line_breaks_match_reference(template, brk, chunk_rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    _assert_file_parses_like_reference(tmp_path / "m.txt", template.format(brk))
+
+
+def _later_chunk_file(tmp_path, rng, bad_row, bad_line):
+    """A 70 x 3 matrix file whose row `bad_row` is `bad_line`, and its text."""
+    lines = oracles.matrix_to_text(DenseMatrix(rng.uniform(-1, 1, (70, 3)))).splitlines()
+    lines[1 + bad_row] = bad_line
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    return path, text
+
+
+@pytest.mark.parametrize("chunk_rows", _CHUNK_SIZES)
+@pytest.mark.parametrize("bad_line", ["0.5 x 1", "0.5 1", "", "0.5  1 2"])  # the last is valid
+def test_malformed_row_in_a_later_chunk(rng, tmp_path, monkeypatch, chunk_rows, bad_line):
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    path, text = _later_chunk_file(tmp_path, rng, 66, bad_line)
+    assert _outcome(read_matrix, path) == _outcome(oracles.matrix_from_text, text)
+
+
+@pytest.mark.parametrize("chunk_rows", _CHUNK_SIZES)
+def test_non_utf8_byte_in_a_later_chunk(rng, tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    path, text = _later_chunk_file(tmp_path, rng, 68, "0.25 0.5 0.75")
+    data = text.encode().replace(b"0.25 0.5 0.75", b"0.25 0.5 0.7\xff")
+    path.write_bytes(data)
+    offset = data.index(b"\xff")
+    with pytest.raises(FormatError) as info:
+        read_matrix(path)
+    assert str(info.value) == f"{path}: not utf-8 text (invalid start byte at byte {offset})"
+
+
+@pytest.mark.parametrize("chunk_rows", _CHUNK_SIZES)
+def test_too_short_body(rng, tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+    body = oracles.matrix_to_text(DenseMatrix(rng.uniform(-1, 1, (5, 2)))).split("\n", 1)[1]
+    path = tmp_path / "m.txt"
+    path.write_text("9 2\n" + body)
+    assert _outcome(read_matrix, path) == ("FormatError", "expected 9 rows, found 5")
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of `fn(*args)`, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_matrix_io_memory_is_bounded(rng, tmp_path):
+    a = DenseMatrix(rng.standard_normal((512, 512)))
+    path = tmp_path / "m.txt"
+    write_matrix(a, path)
+    # the parsed array and DenseMatrix's copy of it; whole-text parsing peaks at 7.8x
+    assert _traced_peak(read_matrix, path) < 3 * a.data.nbytes
+    # a few rows' worth of formatting; joining the whole text peaks at about 10 MiB
+    row_bytes = len(matrix_to_text(a).splitlines()[1])
+    assert _traced_peak(write_matrix, a, tmp_path / "out.txt") < 8 * row_bytes
+    assert (tmp_path / "out.txt").read_bytes() == path.read_bytes()
+
+
 def test_well_formed_body_is_parsed_in_one_call(rng, monkeypatch):
     a = DenseMatrix(rng.standard_normal((6, 5)))
     text = matrix_to_text(a)
@@ -179,6 +304,13 @@ _WRITER_CASES = {
 def test_writer_matches_reference(rng, case):
     a = DenseMatrix(np.asarray(_WRITER_CASES[case](rng), dtype=float))
     assert matrix_to_text(a) == oracles.matrix_to_text(a)
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+def test_written_file_matches_reference(rng, case, tmp_path):
+    a = DenseMatrix(np.asarray(_WRITER_CASES[case](rng), dtype=float))
+    write_matrix(a, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_bytes() == oracles.matrix_to_text(a).encode()
 
 
 def test_partition_round_trip():
@@ -253,6 +385,20 @@ def test_failing_serializer_keeps_previous_partition(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "partition_to_text", boom)
     with pytest.raises(RuntimeError):
         write_partition(Partition.from_blocks(2, [[0], [1]]), path)
+    _only(tmp_path, path)
+
+
+def test_failure_midway_through_formatting_keeps_previous_file(rng, tmp_path, monkeypatch):
+    path = _previous(tmp_path)
+    lines = fileio._matrix_lines
+
+    def fail_after_two_rows(a):
+        yield from itertools.islice(lines(a), 3)
+        raise MemoryError("formatting failed")
+
+    monkeypatch.setattr(fileio, "_matrix_lines", fail_after_two_rows)
+    with pytest.raises(MemoryError):
+        write_matrix(DenseMatrix(rng.uniform(-1, 1, (4, 4))), path)
     _only(tmp_path, path)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -316,6 +317,14 @@ _FAILED_HYPOTHESES = [
     ("EXTRAP", {"delta": None}, "delta, rho, lambda required"),
     ("EXTRAP", {"rho": None}, "delta, rho, lambda required"),
     ("EXTRAP", {"lam": None}, "delta, rho, lambda required"),
+    ("RUDELSON", {"matrix": DenseMatrix.zeros(0, 3)}, "at least one row"),
+    ("NC_KHINTCHINE", {"matrices": (DenseMatrix.zeros(0, 3),)}, "nonempty matrices"),
+    ("NC_KHINTCHINE", {"matrices": (DenseMatrix.zeros(3, 0),)}, "nonempty matrices"),
+    ("NC_KHINTCHINE", {"matrices": (DenseMatrix.zeros(0), DenseMatrix.zeros(0))},
+     "nonempty matrices"),
+    ("SCALAR_KHINTCHINE", {"vector": (1.0, math.nan)}, "finite coefficients"),
+    ("SCALAR_KHINTCHINE", {"vector": (1.0, math.inf)}, "finite coefficients"),
+    ("SCALAR_KHINTCHINE", {"vector": (-math.inf, 1.0)}, "finite coefficients"),
 ]
 
 
