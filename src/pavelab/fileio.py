@@ -13,11 +13,13 @@ it to the same bits, so on any other input (tabs, repeated or edge spaces,
 loop decides.  That loop defines the grammar (whitespace-split tokens, each
 read by `float()`) and is the only source of the row-numbered error
 messages.  `read_matrix` feeds the chunks straight from the open file, so it
-never holds the whole text; any file they do not cleanly accept (too few
-rows, a decode error, a line break that `str.splitlines` takes and file
-iteration does not) is read whole and parsed by `matrix_from_text`, which
-gives the same bits or the same error.  The writer formats each row with
-one `%` on a row template and streams the rows to the file.
+never holds the whole text, and then decodes the rest of the file.  Any
+file they do not cleanly accept (too few rows, a header asking for more
+entries than the file has bytes for, a decode error anywhere, a line break
+that `str.splitlines` takes and file iteration does not) is read whole and
+parsed by `matrix_from_text`, which gives the same bits or the same error.
+The writer formats each row with one `%` on a row template and streams the
+rows to the file.
 
 Partition format: one line per block of space-separated indices, blocks
 ordered by smallest element.
@@ -74,7 +76,7 @@ def matrix_from_text(text: str) -> DenseMatrix:
     body = lines[1:]
     if len(body) < n_rows:
         raise FormatError(f"expected {n_rows} rows, found {len(body)}")
-    data = _parse_rows(iter(body), n_rows, n_cols)
+    data = _parse_rows(iter(body), n_rows, n_cols, len(text))
     if data is None:
         rows = []
         for i in range(n_rows):
@@ -89,10 +91,16 @@ def matrix_from_text(text: str) -> DenseMatrix:
     return DenseMatrix(data)
 
 
-def _parse_rows(lines: Iterator[str], n_rows: int, n_cols: int) -> np.ndarray | None:
+def _parse_rows(
+    lines: Iterator[str], n_rows: int, n_cols: int, size: int
+) -> np.ndarray | None:
     """The next n_rows of `lines` parsed into one array, `_CHUNK_ROWS` lines
-    per `np.loadtxt` call, or None where the per-row loop must decide."""
-    if not (n_rows and n_cols):
+    per `np.loadtxt` call, or None where the per-row loop must decide.
+
+    `size` bounds the length of the text: every entry takes at least one
+    character and one separator, so a header asking for more than size / 2
+    entries cannot be filled and nothing is allocated for it."""
+    if not (n_rows and n_cols) or 2 * n_rows * n_cols > size:
         return None
     data = np.empty((n_rows, n_cols))
     for start in range(0, n_rows, _CHUNK_ROWS):
@@ -140,15 +148,15 @@ def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
     a new file), which is then renamed onto the target; a failure mid-write,
     in writing or in producing the text, leaves any previous file untouched
     and no temp file behind.  An existing target that open() would not write
-    (a read-only file) is refused the same way.  A symlink keeps pointing at the new file; a hard link to the
-    old file keeps the old contents.  A target that exists but is no regular
-    file (/dev/stdout, a pipe) cannot be replaced and is written in place.
+    (a read-only file) is refused the same way.  A symlink keeps pointing at
+    the new file; a hard link to the old file keeps the old contents.  A
+    target that exists but is no regular file (/dev/stdout, a pipe) cannot be
+    replaced and is written in place.
     """
     pieces = [text] if isinstance(text, str) else text
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
-            for piece in pieces:
-                fh.write(piece)
+            fh.writelines(pieces)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -167,8 +175,7 @@ def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
         with open(fd, "w") as fh:
             if mode is not None:
                 os.fchmod(fd, mode)
-            for piece in pieces:
-                fh.write(piece)
+            fh.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -187,7 +194,11 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
     data = None
     with open(path) as fh, contextlib.suppress(FormatError, UnicodeDecodeError):
         lines = _single_lines(fh)
-        data = _parse_rows(lines, *_header(next(lines, "")))
+        n_rows, n_cols = _header(next(lines, ""))
+        parsed = _parse_rows(lines, n_rows, n_cols, os.fstat(fh.fileno()).st_size)
+        for _ in fh:  # decode the rest too: a bad byte anywhere is the whole read's error
+            pass
+        data = parsed
     return matrix_from_text(_read_text(path)) if data is None else DenseMatrix(data)
 
 

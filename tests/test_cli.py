@@ -176,6 +176,21 @@ class TestPave:
 
 
 
+@pytest.mark.parametrize("argv", [
+    ("pave", "-m", "2"),
+    ("scan", "--vary", "rho", "--grid", "0.5", "--p", "4", "--method", "mc"),
+], ids=lambda a: a[0])
+def test_huge_header_over_short_body_exit_2(capsys, tmp_path, argv):
+    """A header far larger than its file is a format error, not an allocation."""
+    src, out_path = tmp_path / "m.txt", tmp_path / "out.txt"
+    src.write_text("1000000000 1000000000\n1 2\n")
+    code, out, err = run(capsys, argv[0], str(src), *argv[1:], "--out", str(out_path))
+    assert code == EXIT_USAGE
+    assert err == "error: expected 1000000000 rows, found 1\n"
+    assert out == ""
+    assert not out_path.exists()
+
+
 _DEGENERATE_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2)]
 _DEGENERATE_RUNS = [("pave", "-m", m, "--trials", "5") for m in ("1", "2", "3")] + [
     ("scan", "--vary", vary, "--grid", grid, *extra, "--method", method, "--trials", "50")

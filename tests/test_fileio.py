@@ -104,6 +104,9 @@ _READER_CORPUS = [
     "0 3\n", "0 3\n1 2 3\n", "3 0\n\n\n\n", "3 0\n\n1\n\n", "3 0\n", "0 0\n",
     "1 1\n0.5\n", "1 1\n 0.5 \n",
     "", "2\n1 2\n", "a b\n", "-1 2\n", "2 2 2\n",
+    # headers asking for more entries than the text could hold
+    "1000000000 1000000000\n1 2\n", "100000 100000\n1 2\n",
+    "1 1000000000000\n1 2\n", "2 4000000000000\n1\n2\n",
 ]
 
 
@@ -238,6 +241,19 @@ def test_non_utf8_byte_in_a_later_chunk(rng, tmp_path, monkeypatch, chunk_rows):
     assert str(info.value) == f"{path}: not utf-8 text (invalid start byte at byte {offset})"
 
 
+def test_non_utf8_byte_far_after_the_last_row(rng, tmp_path):
+    """The rows parse, but a bad byte 20 KiB past them (more than one read
+    buffer) still fails the read as it fails the whole text's decoding."""
+    _, text = _later_chunk_file(tmp_path, rng, 0, "0.5 0.5 0.5")
+    data = text.encode() + b"0 0 0\n" * 4000 + b"\xff\n"
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as info:
+        read_matrix(path)
+    offset = data.index(b"\xff")
+    assert str(info.value) == f"{path}: not utf-8 text (invalid start byte at byte {offset})"
+
+
 @pytest.mark.parametrize("chunk_rows", _CHUNK_SIZES)
 def test_too_short_body(rng, tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
@@ -369,6 +385,10 @@ def test_write_failing_midway_keeps_previous_file(rng, tmp_path, monkeypatch):
             self.fh.write(text[: len(text) // 2])
             self.fh.flush()
             raise OSError(errno.ENOSPC, "No space left on device")
+
+        def writelines(self, pieces):  # as io.IOBase.writelines: one write per piece
+            for piece in pieces:
+                self.write(piece)
 
     monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
     with pytest.raises(OSError):
