@@ -3,7 +3,8 @@
 Every run is fully determined by its arguments (plus an optional key=value
 config file whose entries act as flag defaults), so repeated runs produce
 bitwise-identical artifacts.  Exit codes: 0 success / all inequalities hold,
-1 verification failure, 2 usage or parse error, 3 capacity exceeded.
+1 verification failure, 2 usage or parse error, 3 capacity exceeded (a
+capacity cap, or memory the run cannot allocate).
 """
 from __future__ import annotations
 
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:  # a request no capacity cap bounds, e.g. --trials
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ParameterError, FormatError, PavelabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -199,7 +199,7 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
         for _ in fh:  # decode the rest too: a bad byte anywhere is the whole read's error
             pass
         data = parsed
-    return matrix_from_text(_read_text(path)) if data is None else DenseMatrix(data)
+    return matrix_from_text(_read_text(path)) if data is None else DenseMatrix._adopt(data)
 
 
 def partition_to_text(part: Partition) -> str:

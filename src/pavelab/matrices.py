@@ -27,8 +27,15 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C", copy=True)
+def _frozen(arr, copy: bool = True) -> np.ndarray:
+    """`arr` checked (2-d, finite) as a read-only C-ordered float64 array: a
+    copy, or with copy=False `arr` itself where it already is one."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ParameterError("matrix entries must be finite")
+    out = np.array(arr, order="C", copy=True) if copy else np.ascontiguousarray(arr)
     out.flags.writeable = False
     return out
 
@@ -40,12 +47,15 @@ class DenseMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ParameterError("matrix entries must be finite")
-        object.__setattr__(self, "data", _frozen(arr))
+        object.__setattr__(self, "data", _frozen(self.data))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DenseMatrix":
+        """The matrix over `arr` itself, frozen in place instead of copied,
+        for an array just built that no one else holds (a parsed file)."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "data", _frozen(arr, copy=False))
+        return out
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, entries) -> "DenseMatrix":
@@ -239,6 +249,11 @@ def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(blocks)[:, -1]
 
 
+def gram_kernel(r: int, c: int, whole: bool) -> bool:
+    """Whether `block_norms` norms r x c blocks by their Gram (else the SVD)."""
+    return not whole and min(r, c) <= GRAM_MAX_K
+
+
 def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
     """Spectral norm of each block of a nonempty (B, r, c) stack.
 
@@ -249,7 +264,7 @@ def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
     whatever stack it sits in.
     """
     r, c = blocks.shape[1:]
-    if whole or min(r, c) > GRAM_MAX_K:
+    if not gram_kernel(r, c, whole):
         return np.linalg.svd(blocks, compute_uv=False)[:, 0]
     shift = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1]
     b = np.ldexp(blocks, -shift[:, None, None])

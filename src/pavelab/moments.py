@@ -34,17 +34,29 @@ an exact pattern space depend on neither the rate nor p, so
 `exact_pattern_values` keeps the last matrix's norms (with the mask
 popcounts its weights need) and exact moments of one matrix share one
 enumeration per pattern space.
+
+Spread rule: the stacks of one norm call (the (r, c) runs of
+`pair_space_norms`, the bucket chunks of `masked_norms`) are independent.
+Gram-kernel stacks of at least `_SPREAD_MIN_BLOCKS` blocks run on
+`_WORKERS` threads (one per CPU the process may use), largest first, each
+to the first free thread, with a big bucket cut into a chunk per worker;
+SVD stacks and smaller stacks run on the calling thread before any helper
+starts.  Helpers are started per call and joined before it returns.  Each
+norm depends only on its own block, so results are bitwise the same for any
+worker count.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .matrices import DenseMatrix, block_norms, top_eigenvalues
+from .matrices import DenseMatrix, block_norms, gram_kernel, top_eigenvalues
 from .sampling import (
     Bernoulli,
     BernoulliPair,
@@ -63,9 +75,66 @@ EXACT_SIGNS_MAX_N = 14
 EXACT_UNIFORMK_MAX_PATTERNS = 10 ** 6
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads one norm call spreads its large Gram stacks over (the calling
+# thread among them); read at call time, as `_BATCH` is.
+_WORKERS = _cpu_count()
+# Smaller stacks stay on the calling thread: handing the GIL back and forth
+# would cost more than they do.
+_SPREAD_MIN_BLOCKS = 256
+
+
 def _chunk_rows(r: int, c: int) -> int:
-    # cap temporary stacks at ~32 MB of float64
-    return max(1, min(_BATCH, (1 << 22) // max(1, r * c)))
+    # cap the temporary stacks of all workers together at ~32 MB of float64
+    return max(1, min(_BATCH, (1 << 22) // _WORKERS // max(1, r * c)))
+
+
+def _run_stacks(run, stacks) -> None:
+    """Call run(*args), which norms a stack of `blocks` blocks and stores
+    the norms, for each (blocks, spread, args) of `stacks`, by the spread
+    rule (module docstring): a stack with `spread` set (a Gram-kernel stack)
+    and at least `_SPREAD_MIN_BLOCKS` blocks is deferred to up to `_WORKERS`
+    threads, the calling one and helpers joined before this returns; every
+    other stack runs at once, on the calling thread, since SVD bits can
+    depend on how OpenBLAS splits its work.  `eigvalsh` releases the GIL.
+    The first exception raised in any thread is re-raised.
+    """
+    deferred = []
+    for blocks, spread, args in stacks:
+        if spread and blocks >= _SPREAD_MIN_BLOCKS:
+            deferred.append((blocks, args))
+        else:
+            run(*args)
+    queue = iter([args for _, args in sorted(deferred, key=lambda stack: -stack[0])])
+    errors = []
+
+    def work():
+        try:
+            for args in queue:
+                if errors:  # another thread failed: stop at the next stack
+                    break
+                run(*args)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_WORKERS, len(deferred)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -183,13 +252,16 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
 
     row_grams = [None] + [grams(b, k) for k in range(1, n + 1)]
     col_grams = [None] + [grams(b.T, k) for k in range(1, n + 1)]
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            if c <= r:
-                lam = _top_eigenvalues(row_grams[r], idx[c])
-            else:
-                lam = _top_eigenvalues(col_grams[c], idx[r]).T
-            out[codes[r][:, None], codes[c][None, :]] = lam
+
+    def run(r: int, c: int) -> None:
+        if c <= r:
+            lam = _top_eigenvalues(row_grams[r], idx[c])
+        else:
+            lam = _top_eigenvalues(col_grams[c], idx[r]).T
+        out[codes[r][:, None], codes[c][None, :]] = lam
+
+    sizes = range(1, n + 1)
+    _run_stacks(run, ((codes[r].size * codes[c].size, True, (r, c)) for r in sizes for c in sizes))
     tiny = out < _TINY_GRAM
     tiny[0, :] = tiny[:, 0] = False
     out = np.ldexp(np.sqrt(np.maximum(out, 0.0)), shift)
@@ -218,17 +290,26 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
     key = r_count * (cols.shape[1] + 1) + c_count
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+
+    def run(sel: np.ndarray, r: int, c: int, whole: bool) -> None:
+        ri = np.nonzero(rows[sel])[1].reshape(-1, r)
+        ci = np.nonzero(cols[sel])[1].reshape(-1, c)
+        out[sel] = block_norms(a[ri[:, :, None], ci[:, None, :]], whole)
+
+    stacks = []
     for bucket in np.split(order, starts[1:]):
         r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
         if r == 0 or c == 0:
             continue
         whole = (r, c) == a.shape
+        spread = gram_kernel(r, c, whole)
         step = _chunk_rows(r, c)
+        if spread:  # a share for each worker
+            step = min(step, max(_SPREAD_MIN_BLOCKS, -(-bucket.size // _WORKERS)))
         for start in range(0, bucket.size, step):
             sel = bucket[start:start + step]
-            ri = np.nonzero(rows[sel])[1].reshape(-1, r)
-            ci = np.nonzero(cols[sel])[1].reshape(-1, c)
-            out[sel] = block_norms(a[ri[:, :, None], ci[:, None, :]], whole)
+            stacks.append((sel.size, spread, (sel, r, c, whole)))
+    _run_stacks(run, stacks)
     return out
 
 

@@ -348,6 +348,18 @@ class TestScan:
         )
         assert code == EXIT_CAPACITY
 
+    def test_unallocatable_trial_count_exit_3(self, capsys, tmp_path):
+        """10^11 Monte Carlo draws at n = 12 ask for 8.7 TiB of uniform keys,
+        which no machine allocates: exit 3 with an error line, no file."""
+        src, out_csv = tmp_path / "a12.txt", tmp_path / "s.csv"
+        write_matrix(gen_ensemble("sign_normalized", 12, Seed(5)), src)
+        code, out, err = run(
+            capsys, "scan", str(src), "--vary", "rho", "--grid", "0.5", "--p", "6",
+            "--method", "mc", "--trials", str(10 ** 11), "--out", str(out_csv),
+        )
+        assert code == EXIT_CAPACITY and err.startswith("error: ") and "TiB" in err
+        assert out == "" and not out_csv.exists()
+
     @pytest.mark.parametrize("gamma", ["0", "-1"])
     def test_nonpositive_gamma_exits_2_before_reading_or_writing(self, capsys, tmp_path, gamma):
         out_csv = tmp_path / "s.csv"

@@ -50,6 +50,27 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             a.data[0, 0] = 2.0
 
+    def test_copies_the_callers_array(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a = DenseMatrix(arr)
+        arr[0, 0] = 9.0
+        assert a.data[0, 0] == 1.0 and arr.flags.writeable
+
+    def test_adopt_freezes_the_array_in_place(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a = DenseMatrix._adopt(arr)
+        assert a.data is arr and not arr.flags.writeable
+
+    @pytest.mark.parametrize("arr, error", [
+        (np.zeros(3), DimensionError),
+        (np.array([[0.0, np.nan]]), ParameterError),
+        (np.array([[np.inf]]), ParameterError),
+    ])
+    def test_adopt_checks_like_the_constructor(self, arr, error):
+        with pytest.raises(error):
+            DenseMatrix._adopt(arr)
+        assert arr.flags.writeable
+
 
 class TestCoordinateSet:
     def test_rejects_duplicates(self):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,7 @@ from pavelab import (
     spectral_norm,
 )
 
-from pavelab import moments, random_pave
+from pavelab import matrices, moments, random_pave
 from pavelab.moments import masked_norms, weighted_moment_stats
 
 from .conftest import square_matrices
@@ -342,6 +344,152 @@ class TestChunkSizeDeterminism:
             assert random_pave(DenseMatrix.identity(24), 3, 1001, Seed(8)).best_trial_index == 0
         assert results[0] == results[1] == results[2]
         assert results[0][3] == 1001
+
+
+def _started_threads(monkeypatch) -> list:
+    """A list that grows by one for every thread started from now on."""
+    started = []
+    real = threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def _gram_buckets(rng, n, sizes):
+    """(rows, cols) masks of an n x n matrix: sizes[j] patterns of j + 1
+    rows and j + 2 columns (one Gram-kernel bucket per entry)."""
+    total = sum(sizes)
+    rows, cols = np.zeros((total, n), dtype=bool), np.zeros((total, n), dtype=bool)
+    at = 0
+    for j, count in enumerate(sizes):
+        for row in range(at, at + count):
+            rows[row, rng.choice(n, j + 1, replace=False)] = True
+            cols[row, rng.choice(n, j + 2, replace=False)] = True
+        at += count
+    return rows, cols
+
+
+class TestWorkerCounts:
+    """Large Gram stacks run on up to `_WORKERS` threads with the same bits;
+    SVDs and small stacks stay on the calling thread."""
+
+    def _each(self, monkeypatch, fn, expect_threads=True):
+        """fn() at 1, 2 and 3 workers; helper threads start only above 1."""
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(moments, "_WORKERS", workers)
+            monkeypatch.setattr(moments, "_last_norms", None)
+            started = _started_threads(monkeypatch)
+            results.append(fn())
+            assert bool(started) == (expect_threads and workers > 1)
+        return results
+
+    def test_exact_spaces_bitwise_across_worker_counts(self, monkeypatch, rng):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (12, 12)))
+        bern = self._each(
+            monkeypatch, lambda: moments.exact_pattern_values(a, Bernoulli(12, 0.3))[0]
+        )
+        pair_matrix = rng.uniform(-1.0, 1.0, (8, 8))
+        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix))
+        for got in (bern, pair):
+            assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+    def test_masked_norms_bitwise_across_worker_counts(self, monkeypatch, rng):
+        a = rng.uniform(-1.0, 1.0, (16, 16))
+        rows, cols = _gram_buckets(rng, 16, [300, 700, 20, 900])
+        got = self._each(monkeypatch, lambda: masked_norms(a, rows, cols))
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+
+    def test_random_pave_bitwise_across_worker_counts(self, monkeypatch, rng):
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (64, 64)))
+        got = self._each(monkeypatch, lambda: random_pave(a, 8, 2000, Seed(4)))
+        keys = [(res.quality, res.best_trial_index, res.partition) for res in got]
+        assert keys[0] == keys[1] == keys[2]
+
+    def test_no_lost_stack_at_four_worker_counts_with_fast_switching(self, monkeypatch, rng):
+        """More workers than this machine may have cores, switching threads
+        every microsecond: every stack is normed once into its own slots."""
+        a = rng.uniform(-1.0, 1.0, (16, 16))
+        rows, cols = _gram_buckets(rng, 16, [300, 900, 600, 1200, 300])
+        want = masked_norms(a, rows, cols)
+        monkeypatch.setattr(moments, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(masked_norms(a, rows, cols), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_svd_stays_on_the_calling_thread_at_worker_counts_above_one(self, monkeypatch, rng):
+        """Whole-matrix and k = 65 buckets of 300 patterns each beside large
+        Gram stacks at 3 workers."""
+        n = 70
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        gram_rows, gram_cols = _gram_buckets(rng, n, [0, 0, 0, 600, 500])
+        svd_rows, svd_cols = np.ones((600, n), dtype=bool), np.ones((600, n), dtype=bool)
+        for row in range(300, 600):  # whole-matrix patterns, then 65 x 65 ones
+            svd_rows[row, rng.choice(n, n - 65, replace=False)] = False
+            svd_cols[row, rng.choice(n, n - 65, replace=False)] = False
+        rows, cols = np.vstack([gram_rows, svd_rows]), np.vstack([gram_cols, svd_cols])
+        want = masked_norms(a, rows, cols)
+        caller, base = threading.get_ident(), threading.active_count()
+        svd_calls = []
+        real_svd = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            svd_calls.append((threading.get_ident(), threading.active_count()))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(moments, "_WORKERS", 3)
+        started = _started_threads(monkeypatch)
+        assert np.array_equal(masked_norms(a, rows, cols), want)
+        assert len(started) == 2
+        assert svd_calls and set(svd_calls) == {(caller, base)}
+
+    @pytest.mark.parametrize("kernel", ["masked", "pair"])
+    def test_helper_error_reaches_the_caller_at_worker_counts_above_one(
+        self, monkeypatch, rng, kernel
+    ):
+        caller, base = threading.get_ident(), threading.active_count()
+        helper_failed = threading.Event()
+        real = matrices.top_eigenvalues
+
+        def top_eigenvalues(blocks):
+            if threading.get_ident() != caller:
+                helper_failed.set()
+                raise np.linalg.LinAlgError("injected in a helper thread")
+            if threading.active_count() > base:  # let a helper take a stack
+                helper_failed.wait(10.0)
+            return real(blocks)
+
+        monkeypatch.setattr(moments, "_WORKERS", 2)
+        if kernel == "masked":
+            monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
+            a = rng.uniform(-1.0, 1.0, (16, 16))
+            fn, args = masked_norms, (a, *_gram_buckets(rng, 16, [0, 0, 600, 600]))
+        else:
+            monkeypatch.setattr(moments, "top_eigenvalues", top_eigenvalues)
+            fn, args = moments.pair_space_norms, (rng.uniform(-1.0, 1.0, (8, 8)),)
+        with pytest.raises(np.linalg.LinAlgError, match="injected in a helper thread"):
+            fn(*args)
+        assert helper_failed.is_set()
+        assert threading.active_count() == base
+
+    def test_small_stacks_start_no_thread_at_any_worker_counts(self, monkeypatch, rng):
+        a = rng.uniform(-1.0, 1.0, (16, 16))
+        rows, cols = _gram_buckets(rng, 16, [255, 200, 255, 100])
+        pair_matrix = rng.uniform(-1.0, 1.0, (5, 5))  # at most 10 x 10 = 100 blocks a run
+        self._each(monkeypatch, lambda: masked_norms(a, rows, cols), expect_threads=False)
+        self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix),
+                   expect_threads=False)
+        self._each(monkeypatch, lambda: random_pave(DenseMatrix(a), 4, 60, Seed(1)),
+                   expect_threads=False)
 
 
 _LAYER_MODELS = [Bernoulli(6, 0.3), UniformK(6, 2), BernoulliPair(4, 0.4), RademacherSigns(7)]
