@@ -10,8 +10,9 @@ sampler and paver.  A proper r x c block is scaled by its own power of two
 (its largest entry lands in [1/2, 1), so its Gram can neither overflow nor
 lose the norm to underflow) and its norm is the square root of the top
 eigenvalue of the smaller Gram, B^T B or B B^T: O(r c k) for the Gram plus
-O(k^3) for the eigenvalue, k = min(r, c), in closed form for k <= 2.  Two
-cases keep the singular-value-only SVD:
+O(k^3) for the eigenvalue, k = min(r, c), in closed form for k <= 3, with the
+near-double fallback (a 3 x 3 block whose top eigenvalue is near-double takes
+`eigvalsh`).  Two cases keep the singular-value-only SVD:
 - the whole matrix, so every "nothing removed" pattern (rate 1, a one-block
   paving) equals `spectral_norm` bit for bit;
 - k > GRAM_MAX_K = 64: numpy's `syrk` Gram of a 100 x 100 block and
@@ -233,12 +234,58 @@ def spectral_norm(a: DenseMatrix) -> float:
 
 GRAM_MAX_K = 64
 
+# A 3 x 3 block whose r (see `_top_eigenvalues_3`) lies within this of -1 has
+# a near-double top eigenvalue, gap about 1.6 p sqrt(1 + r), and goes to
+# `eigvalsh`: there arccos amplifies the rounding of r.
+_NEAR_DOUBLE = 1e-3
+# p outside (2^-330, 2^330) goes to `eigvalsh` too, so that p^3 and every
+# product of three entries of D - mu I (each at most 4.5 p) is a normal float.
+_P_RANGE = 2.0 ** -330, 2.0 ** 330
+
+
+def _top_eigenvalues_3(blocks: np.ndarray) -> np.ndarray:
+    """lambda_max of each symmetric 3 x 3 block (lower triangle), in closed
+    form (O. K. Smith, CACM 4(4), 1961).
+
+    With q = trace / 3 and D = A - qI, p^2 = ||D||_F^2 / 6 and
+    r = det(D) / (2 p^3), lambda_max = q + 2p cos(arccos(r) / 3); one Newton
+    step on det(D - mu I) then polishes mu = lambda_max - q.  D is made
+    traceless again after q's rounding, so that the start lies above the
+    second eigenvalue even for a near-scalar block.  Blocks with p == 0, p
+    out of range, a near-double top eigenvalue or a non-finite value take
+    `eigvalsh`, so each value depends only on its own block.
+    """
+    a00, a10, a11 = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
+    a20, a21, a22 = blocks[:, 2, 0], blocks[:, 2, 1], blocks[:, 2, 2]
+    with np.errstate(all="ignore"):  # blocks that divide by 0 or overflow fall back
+        q = (a00 + a11 + a22) / 3.0
+        d0, d1, d2 = a00 - q, a11 - q, a22 - q
+        s = (d0 + d1 + d2) / 3.0
+        d0, d1, d2 = d0 - s, d1 - s, d2 - s
+        s10, s20, s21 = a10 * a10, a20 * a20, a21 * a21
+        off = s10 + s20 + s21
+        t = 2.0 * a10 * a20 * a21
+        p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * off) / 6.0
+        p = np.sqrt(p2)
+        r = (d0 * d1 * d2 - d0 * s21 - d1 * s20 - d2 * s10 + t) / (2.0 * p * p2)
+        ok = (r > _NEAR_DOUBLE - 1.0) & (p > _P_RANGE[0]) & (p < _P_RANGE[1])
+        mu = 2.0 * p * np.cos(np.arccos(np.minimum(r, 1.0)) / 3.0)
+        e0, e1, e2 = d0 - mu, d1 - mu, d2 - mu
+        e01 = e0 * e1
+        f = e01 * e2 - e0 * s21 - e1 * s20 - e2 * s10 + t  # det(D - mu I)
+        lam = q + (s + (mu + f / (e01 + (e0 + e1) * e2 - off)))
+    if not ok.all():
+        bad = ~ok
+        lam[bad] = np.linalg.eigvalsh(blocks[bad])[:, -1]
+    return lam
+
 
 def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """lambda_max of each symmetric matrix of a (B, k, k) stack, k >= 1.
 
-    k = 1 and 2 use closed forms; larger k go through `eigvalsh`, which
-    reads the lower triangle.  Each value depends only on its own block.
+    k <= 3 use closed forms (k = 3 with the near-double fallback of
+    `_top_eigenvalues_3`); larger k go through `eigvalsh`, which reads the
+    lower triangle.  Each value depends only on its own block.
     """
     k = blocks.shape[-1]
     if k == 1:
@@ -246,6 +293,8 @@ def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     if k == 2:
         p, q, s = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
         return 0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
+    if k == 3:
+        return _top_eigenvalues_3(blocks)
     return np.linalg.eigvalsh(blocks)[:, -1]
 
 

@@ -19,12 +19,13 @@ Cost model: a restricted norm ||A_{sigma,tau}|| is the norm of the gathered
 columns costs O(r c k), k = min(r, c), not O(n^3).  Patterns of equal (r, c)
 are gathered together in stacks of at most `_chunk_rows(r, c)` and normed by
 `matrices.block_norms`: the top eigenvalue of each block's k x k Gram (closed
-form for k <= 2), except the whole matrix and k > 64, which take the SVD so
-that a rate-1 pattern equals `spectral_norm` bit for bit and no result
-depends on the BLAS thread count.  The whole BernoulliPair space is a
-product of row sets and column sets, so `pair_space_norms` forms one n x n
-Gram per row set (A_S^T A_S) or column set (A_T A_T^T) and then one k x k
-symmetric eigenproblem per pattern through the same `top_eigenvalues`.
+form for k <= 3, with the near-double fallback), except the whole matrix and
+k > 64, which take the SVD so that a rate-1 pattern equals `spectral_norm`
+bit for bit and no result depends on the BLAS thread count.  The whole
+BernoulliPair space is a product of row sets and column sets, so
+`pair_space_norms` forms one n x n Gram per row set (A_S^T A_S) or column
+set (A_T A_T^T) and then one k x k symmetric eigenproblem per pattern
+through the same `top_eigenvalues`.
 `exact_pattern_values` picks that kernel by model and never builds the 4^n
 pair mask rows; only `exact_patterns` expands one side's 2^n masks into
 them, for callers that read the rows.  Sampled pair patterns always go
@@ -209,13 +210,14 @@ def _top_eigenvalues(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     The blocks of a run of Grams are gathered with one `take` of their
     positions in the raveled Grams and handed to `top_eigenvalues`, about
-    `_chunk_rows(k, k)` blocks at a time (all of them for k <= 2).
+    `_chunk_rows(k, k)` blocks at a time (all of them for k <= 3, whose
+    closed forms cost least per block in one large stack).
     """
     n_grams, n = grams.shape[:2]
     n_sets, k = idx.shape
     flat = grams.reshape(n_grams, n * n)
     pos = (idx[:, :, None] * n + idx[:, None, :]).reshape(n_sets, k * k)
-    step = n_grams if k <= 2 else max(1, _chunk_rows(k, k) // n_sets)
+    step = n_grams if k <= 3 else max(1, _chunk_rows(k, k) // n_sets)
     out = np.empty((n_grams, n_sets))
     for start in range(0, n_grams, step):
         blocks = flat[start:start + step].take(pos, axis=1).reshape(-1, k, k)

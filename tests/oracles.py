@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,24 @@ def jacobi_spectral_norm(a) -> float:
 def jacobi_schatten_norm(a, p) -> float:
     sv = jacobi_singular_values(a)
     return float(np.sum(sv ** p) ** (1.0 / p)) if sv.size else 0.0
+
+
+def above_every_eigenvalue(a, x) -> bool:
+    """Whether x exceeds every eigenvalue of the symmetric 3 x 3 matrix `a`
+    (lower triangle), in exact rational arithmetic.
+
+    The roots of det((x + t) I - a) are lambda_i - x, all real, so they are
+    all negative exactly when its coefficients are all positive (Descartes'
+    rule of signs): trace, sum of principal 2 x 2 minors and determinant of
+    xI - a.
+    """
+    b = [[Fraction(float(a[max(i, j)][min(i, j)])) for j in range(3)] for i in range(3)]
+    m = [[(Fraction(float(x)) if i == j else 0) - b[i][j] for j in range(3)] for i in range(3)]
+    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return m[0][0] + m[1][1] + m[2][2] > 0 and minors > 0 and det > 0
 
 
 def brute_force_pair_moment(a: np.ndarray, rate: float, p: float) -> float:

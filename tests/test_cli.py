@@ -613,6 +613,32 @@ class TestConfig:
         run(capsys, "gen", "sign", "8", "--seed", "9", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_config_defaults_never_reach_a_later_run(self, capsys, tmp_path):
+        """Runs without --config share one parser; a config run builds its own."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nmu=0.2\n")
+        before, configured, after = (tmp_path / f"{name}.txt" for name in ("b", "c", "a"))
+        run(capsys, "gen", "sign", "8", "--out", str(before))
+        assert run(capsys, "--config", str(cfg), "gen", "bounded", "8",
+                   "--out", str(configured))[0] == EXIT_OK
+        assert run(capsys, "gen", "bounded", "8", "--out", str(after))[0] == EXIT_USAGE  # no mu
+        run(capsys, "--config", str(cfg), "gen", "sign", "8", "--out", str(configured))
+        run(capsys, "gen", "sign", "8", "--out", str(after))
+        assert after.read_bytes() == before.read_bytes() != configured.read_bytes()
+        assert cli._plain_parser() is cli._plain_parser()
+
+    def test_reused_parser_parses_as_a_fresh_one(self):
+        argvs = [
+            ["gen", "sign", "8", "--seed", "3", "--out", "a.txt"],
+            ["pave", "a.txt", "-m", "2", "--eps", "0.4", "--out", "p.txt"],
+            ["verify", "all", "--size", "small", "--seed", "7"],
+            ["scan", "a.txt", "--vary", "rho", "--grid", "0.1,0.2", "--p", "6", "--out", "s.csv"],
+            ["bound", "pipeline", "--n", "1024", "--gamma", "1", "--m", "16"],
+            ["gen", "bounded", "8", "--out", "b.txt"],
+        ]
+        for argv in argvs + argvs:  # each parse after every other one
+            assert cli._plain_parser().parse_args(argv) == cli.build_parser().parse_args(argv)
+
     def test_binary_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"\xff\xfe" + "seed=5\n".encode("utf-16-le"))

@@ -24,7 +24,12 @@ from pavelab.matrices import block_norms, top_eigenvalues
 from pavelab.moments import masked_norms
 
 from .conftest import square_matrices
-from .oracles import jacobi_schatten_norm, jacobi_spectral_norm
+from .oracles import (
+    above_every_eigenvalue,
+    jacobi_schatten_norm,
+    jacobi_singular_values,
+    jacobi_spectral_norm,
+)
 
 
 class TestDenseMatrix:
@@ -306,7 +311,7 @@ class TestBlockNorms:
         assert gram_differs >= 3
 
     def test_each_norm_depends_only_on_its_block(self, rng):
-        for shape in [(2, 2), (6, 4), (12, 12)]:
+        for shape in [(2, 2), (3, 5), (6, 4), (12, 12)]:
             blocks = rng.uniform(-1, 1, (40, *shape)) * np.logspace(-200, 200, 40)[:, None, None]
             alone = np.concatenate([block_norms(b[None], False) for b in blocks])
             assert np.array_equal(block_norms(blocks, False), alone)
@@ -316,6 +321,150 @@ class TestBlockNorms:
         m = rng.uniform(-1, 1, (20, k, k))
         sym = m + m.transpose(0, 2, 1)
         assert top_eigenvalues(sym) == pytest.approx(np.linalg.eigvalsh(sym)[:, -1], rel=1e-14, abs=1e-14)
+
+
+def _rotated(rng, lams):
+    """Symmetric 3 x 3 blocks Q diag(lams[j]) Q^T for random orthogonal Q."""
+    q = np.linalg.qr(rng.standard_normal((len(lams), 3, 3)))[0]
+    blocks = (q * np.asarray(lams, dtype=float)[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+
+
+def _eigvalsh_top(blocks):
+    """`eigvalsh`'s top eigenvalue of each block, every block on its own."""
+    return np.array([np.linalg.eigvalsh(b)[-1] for b in blocks])
+
+
+class TestTopEigenvaluesThree:
+    """The closed-form k = 3 kernel against the Jacobi oracle and `eigvalsh`,
+    within 1e-14 of the block's spectral radius, and its `eigvalsh` fallback
+    bit for bit."""
+
+    @staticmethod
+    def _assert_close(got, blocks):
+        want = np.linalg.eigvalsh(blocks)
+        radius = np.abs(want).max(axis=1)
+        assert np.all(np.abs(got - want[:, -1]) <= 1e-14 * radius)
+
+    @staticmethod
+    def _assert_exact_within(got, blocks, n_eps):
+        """|got - lambda_max| < n_eps * eps * spectral radius, decided exactly."""
+        for block, value in zip(blocks, got):
+            tol = n_eps * 2.0 ** -52 * np.abs(np.linalg.eigvalsh(block)).max()
+            assert above_every_eigenvalue(block, value + tol)
+            assert not above_every_eigenvalue(block, value - tol)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 64])
+    def test_grams_match_jacobi(self, rng, c):
+        """Rank 1 and 2 Grams at c = 1, 2; full rank above."""
+        x = rng.uniform(-1, 1, (150, 3, c))
+        grams = x @ x.transpose(0, 2, 1)
+        got = top_eigenvalues(grams)
+        want = np.array([jacobi_singular_values(b)[0] ** 2 for b in x])
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        self._assert_close(got, grams)
+
+    def test_mixed_signs_match_jacobi(self, rng):
+        """lambda_max(S) = sigma_max(S + cI) - c once S + cI is positive."""
+        lams = rng.uniform(-1, 1, (300, 3)) * 10.0 ** rng.uniform(-3, 0, (300, 3))
+        blocks = _rotated(rng, lams)
+        got = top_eigenvalues(blocks)
+        self._assert_close(got, blocks)
+        shift = np.abs(lams).sum(axis=1)
+        want = [jacobi_singular_values(b + c * np.eye(3))[0] - c for b, c in zip(blocks, shift)]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(lams).max(axis=1))
+        assert np.any(got < 0)  # some blocks have only negative eigenvalues
+
+    @pytest.mark.parametrize("gap", [10.0 ** -e for e in range(1, 17)])
+    def test_near_double_top_eigenvalue(self, rng, gap):
+        blocks = _rotated(rng, np.column_stack([
+            np.ones(100), np.full(100, 1 - gap), rng.uniform(-1, 0.5, 100)
+        ]))
+        got = top_eigenvalues(blocks)
+        self._assert_close(got, blocks)
+        if gap <= 1e-4:  # far inside the near-double fallback: eigvalsh's bits
+            assert np.array_equal(got, _eigvalsh_top(blocks))
+
+    # Entries (hex) of a near-scalar block whose trigonometric start lies
+    # between its two top eigenvalues unless D is made traceless again after
+    # q's rounding, and of a block with 1 + r = 1.8e-3 whose trigonometric
+    # value alone is 16 eps off.
+    _POLISH_CASES = [
+        ["0x1.0000000000005p+0", "0x1.c10fb072fdd0ap-53", "-0x1.61fdb472e4557p-51",
+         "0x1.c10fb072fdd0ap-53", "0x1.0000000000003p+0", "0x1.4912e6a0bd1dap-50",
+         "-0x1.61fdb472e4557p-51", "0x1.4912e6a0bd1dap-50", "0x1.ffffffffffffdp-1"],
+        ["0x1.3ce58e201b78fp-1", "0x1.14a928217825ap-3", "0x1.651cb0e9f25f2p-1",
+         "0x1.14a928217825ap-3", "0x1.e304742b8a336p-1", "-0x1.be5d4a114a555p-3",
+         "0x1.651cb0e9f25f2p-1", "-0x1.be5d4a114a555p-3", "-0x1.8037e15c04815p-2"],
+    ]
+
+    def test_within_a_few_eps_of_the_exact_top_eigenvalue(self, rng):
+        cases = np.array([[float.fromhex(v) for v in case] for case in self._POLISH_CASES])
+        cases = cases.reshape(-1, 3, 3)
+        self._assert_exact_within(top_eigenvalues(cases), cases, 2)
+        x = rng.uniform(-1, 1, (200, 3, 5))
+        grams = x @ x.transpose(0, 2, 1)
+        self._assert_exact_within(top_eigenvalues(grams), grams, 4)
+
+    @pytest.mark.parametrize("spread", [10.0 ** -e for e in range(1, 17)])
+    def test_near_scalar_blocks(self, rng, spread):
+        centre = rng.uniform(-2, 2, (100, 1))
+        blocks = _rotated(rng, centre * (1 + spread * rng.uniform(-1, 1, (100, 3))))
+        self._assert_close(top_eigenvalues(blocks), blocks)
+
+    def test_exact_cases(self):
+        """Bottom-double blocks in closed form; p == 0 and a double top
+        eigenvalue through the fallback; a NaN block fails as in `eigvalsh`."""
+        bottom_double = np.stack([np.ones((3, 3)), np.ones((3, 3)) - 2 * np.eye(3)])
+        assert np.array_equal(top_eigenvalues(bottom_double), [3.0, 1.0])
+        fallback = np.stack([np.zeros((3, 3)), 2.5 * np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        got = top_eigenvalues(fallback)
+        assert np.array_equal(got, [0.0, 2.5, 1.0]) and not np.signbit(got[0])
+        assert np.array_equal(got, _eigvalsh_top(fallback))
+        with pytest.raises(np.linalg.LinAlgError):
+            top_eigenvalues(np.full((1, 3, 3), np.nan))
+
+    @pytest.mark.parametrize("e", [-300, 300])
+    def test_power_of_two_scaling_is_exact(self, rng, e):
+        lams = np.column_stack([np.full(200, 1.0), rng.uniform(0.1, 0.6, 200), rng.uniform(-1, 0, 200)])
+        blocks = _rotated(rng, lams * 10.0 ** rng.uniform(-4, 4, (200, 1)))
+        scaled = np.ldexp(blocks, e)
+        got = top_eigenvalues(scaled)
+        assert np.array_equal(got, np.ldexp(top_eigenvalues(blocks), e))
+        self._assert_close(got, scaled)
+
+    @pytest.mark.parametrize("e", [-1000, -345, 340, 1000])
+    def test_out_of_range_blocks_take_eigvalsh(self, rng, e):
+        x = rng.uniform(-1, 1, (50, 3, 4))
+        blocks = np.ldexp(x @ x.transpose(0, 2, 1), e)
+        assert np.array_equal(top_eigenvalues(blocks), _eigvalsh_top(blocks))
+
+    def test_separated_blocks_never_call_eigvalsh(self, monkeypatch, rng):
+        """The closed form serves every stack size, one block included."""
+        lams = np.column_stack([np.full(1000, 1.0), rng.uniform(0, 0.8, 1000), rng.uniform(-1, 0, 1000)])
+        blocks = _rotated(rng, lams)
+        want = top_eigenvalues(blocks)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for size in (1, 2, 10, 1000):
+            assert np.array_equal(top_eigenvalues(blocks[:size]), want[:size])
+
+    def test_each_value_depends_only_on_its_block(self, rng):
+        x = rng.uniform(-1, 1, (60, 3, 5))
+        blocks = np.concatenate([
+            x @ x.transpose(0, 2, 1),
+            _rotated(rng, np.column_stack([np.ones(30), 1 - 10.0 ** -rng.uniform(1, 16, 30),
+                                           rng.uniform(-1, 0.5, 30)])),
+            np.zeros((2, 3, 3)), 4.0 * np.ones((2, 3, 3)),
+            np.ldexp(x[:10] @ x[:10].transpose(0, 2, 1), 400),
+        ])
+        order = rng.permutation(len(blocks))
+        alone = np.concatenate([top_eigenvalues(b[None]) for b in blocks])
+        assert np.array_equal(top_eigenvalues(blocks), alone)
+        assert np.array_equal(top_eigenvalues(blocks[order]), alone[order])
 
 
 @given(square_matrices(min_n=2, max_n=6), st.data())

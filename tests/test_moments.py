@@ -404,6 +404,24 @@ class TestWorkerCounts:
         got = self._each(monkeypatch, lambda: masked_norms(a, rows, cols))
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
+    @pytest.mark.parametrize("kind", ["uniform", "sign"])
+    def test_closed_form_stacks_bitwise_across_worker_counts(self, monkeypatch, rng, kind):
+        """Buckets of 3 x c and r x 3 patterns, 300 each: every Gram is 3 x 3.
+        A +-1 matrix has integer Grams, many of them with a double top
+        eigenvalue, so fallback blocks sit among closed-form ones."""
+        n = 12
+        a = rng.uniform(-1.0, 1.0, (n, n)) if kind == "uniform" else rng.choice([-1.0, 1.0], (n, n))
+        shapes = [(3, c) for c in range(3, 9)] + [(r, 3) for r in range(4, 9)]
+        rows, cols = np.zeros((300 * len(shapes), n), dtype=bool), np.zeros((300 * len(shapes), n), dtype=bool)
+        for j, (r, c) in enumerate(shapes):
+            for row in range(300 * j, 300 * j + 300):
+                rows[row, rng.choice(n, r, replace=False)] = True
+                cols[row, rng.choice(n, c, replace=False)] = True
+        got = self._each(monkeypatch, lambda: masked_norms(a, rows, cols))
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(0, len(rows), 7)]
+        assert np.array_equal(got[0][::7], alone)
+
     def test_random_pave_bitwise_across_worker_counts(self, monkeypatch, rng):
         a = DenseMatrix(rng.uniform(-1.0, 1.0, (64, 64)))
         got = self._each(monkeypatch, lambda: random_pave(a, 8, 2000, Seed(4)))
@@ -490,6 +508,34 @@ class TestWorkerCounts:
                    expect_threads=False)
         self._each(monkeypatch, lambda: random_pave(DenseMatrix(a), 4, 60, Seed(1)),
                    expect_threads=False)
+
+
+def _subset_norms(a: np.ndarray) -> np.ndarray:
+    """||A[S, S]|| for every subset S by mask code (bit i selects i), one
+    `np.linalg.svd` of each gathered submatrix (reference)."""
+    n = a.shape[0]
+    out = np.zeros(1 << n)
+    for code in range(1, 1 << n):
+        s = [i for i in range(n) if code >> i & 1]
+        out[code] = np.linalg.svd(a[np.ix_(s, s)], compute_uv=False)[0]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, moments.EXACT_BERNOULLI_MAX_N + 1))
+def test_exact_bernoulli_and_uniform_k_match_per_subset_brute_force(rng, n):
+    """Every enumerable n, every k: exact moments against a float sum over
+    the per-subset norms.  Odd n use a +-1 matrix, whose integer Grams
+    send double top eigenvalues through the k = 3 fallback."""
+    a = rng.uniform(-1.0, 1.0, (n, n)) if n % 2 == 0 else rng.choice([-1.0, 1.0], (n, n))
+    norms = _subset_norms(a)
+    sizes = np.array([bin(code).count("1") for code in range(1 << n)])
+    matrix, p, rate = DenseMatrix(a), 4.0, 0.3
+    weights = rate ** sizes * (1.0 - rate) ** (n - sizes)
+    want = float(np.sum(weights * norms ** p)) ** (1.0 / p)
+    assert exact_moment(matrix, Bernoulli(n, rate), p).value == pytest.approx(want, rel=1e-12)
+    for k in range(1, n + 1):
+        want = float(np.mean(norms[sizes == k] ** p)) ** (1.0 / p)
+        assert exact_moment(matrix, UniformK(n, k), p).value == pytest.approx(want, rel=1e-12)
 
 
 _LAYER_MODELS = [Bernoulli(6, 0.3), UniformK(6, 2), BernoulliPair(4, 0.4), RademacherSigns(7)]
