@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+import threading
 
 from . import bounds, fileio, suites
 from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
@@ -69,6 +70,29 @@ def _flag(ok: bool) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
+def _beside(fn, arg, work):
+    """fn(arg) on a helper thread while work() runs on this one.  The helper
+    is joined whatever work() does; then work()'s exception propagates, or
+    else fn's exception is re-raised here or its value returned."""
+    outcome = {}
+
+    def helper():
+        try:
+            outcome["value"] = fn(arg)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        work()
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 def _cmd_gen(args) -> int:
     kind = _ENSEMBLE_ALIASES.get(args.kind)
     if kind is None:
@@ -76,8 +100,9 @@ def _cmd_gen(args) -> int:
     seed = parse_seed(args.seed)
     bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
     a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
-    fileio.write_matrix(a, args.out)
-    norm = spectral_norm(a)
+    # LAPACK's SVD releases the GIL, and the write formats text under it with
+    # no BLAS call, so on two CPUs the printed norm hides behind the write.
+    norm = _beside(spectral_norm, a, functools.partial(fileio.write_matrix, a, args.out))
     entry = max_abs_entry(a)
     unit = abs(norm - 1.0) <= UNIT_NORM_TOL
     entry_ok = entry <= bound if math.isfinite(bound) else False
@@ -115,6 +140,7 @@ def _cmd_pave(args) -> int:
     if not a.is_square:
         raise ParameterError("paving needs a square matrix")
     seed = parse_seed(args.seed)
+    norm = spectral_norm(a)  # first: an overflowing norm exits before any output
     n = a.n_rows
     padded = pad_to_multiple(a, args.m)
     if padded.n_rows != n:
@@ -122,7 +148,6 @@ def _cmd_pave(args) -> int:
     result = random_pave(padded, args.m, args.trials, seed)
     part = _restrict_partition(result.partition, n)
     quality = paving_quality(a, part)
-    norm = spectral_norm(a)
     print(f"n={n} m={args.m} trials={args.trials} seed={seed.master}")
     print(f"spectral_norm={_fmt(norm)}")
     print(f"quality={_fmt(quality)}")

@@ -226,10 +226,16 @@ UNIT_NORM_TOL = 1e-9  # |norm - 1| within which a matrix counts as unit norm
 
 
 def spectral_norm(a: DenseMatrix) -> float:
-    """Largest singular value (operator norm on Euclidean space)."""
+    """Largest singular value (operator norm on Euclidean space).  The entries
+    are finite, so an infinite value can only be an overflow, and raises."""
     if a.is_empty:
         return 0.0
-    return float(np.linalg.svd(a.data, compute_uv=False)[0])
+    norm = float(np.linalg.svd(a.data, compute_uv=False)[0])
+    if norm == np.inf:
+        raise ParameterError(
+            f"the spectral norm of this {a.n_rows} x {a.n_cols} matrix overflows float64"
+        )
+    return norm
 
 
 GRAM_MAX_K = 64

@@ -255,6 +255,8 @@ def gen_ensemble(
     if kind == "bounded_random":
         if mu is None or mu <= 0:
             raise ParameterError("bounded_random needs a positive mu")
+        if not math.isfinite(2.0 * mu):  # the width of [-mu, mu] must be a float
+            raise ParameterError(f"bounded_random needs 2 * mu finite, got mu={mu!r}")
         entries = rng.uniform(-mu, mu, size=(n, n))
         scale = max(1.0, spectral_norm(DenseMatrix(entries)))
         return DenseMatrix(entries / scale)

@@ -4,6 +4,8 @@ import os
 import stat
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +86,78 @@ class TestGen:
         code, out, err = run(capsys, "gen", "sign", "8", "--index", "-1", "--out", str(path))
         assert code == EXIT_USAGE and err.startswith("error: stream index")
         assert out == "" and not path.exists()
+
+    @pytest.mark.parametrize("mu, message", [
+        ("1e308", "error: bounded_random needs 2 * mu finite, got mu=1e+308\n"),
+        ("8e307", "error: the spectral norm of this 8 x 8 matrix overflows float64\n"),
+    ])
+    def test_overflowing_mu_exits_2_and_writes_no_file(self, capsys, tmp_path, mu, message):
+        path = tmp_path / "b.txt"
+        code, out, err = run(capsys, "gen", "bounded", "8", "--mu", mu, "--out", str(path))
+        assert code == EXIT_USAGE and out == "" and err == message
+        assert not path.exists()
+
+
+# the five kinds by their CLI names, at sizes each exists at (hadamard: powers of 2)
+_GEN_CASES = [
+    (kind, n)
+    for kind in ("sign", "hadamard", "hadamard_hollow", "bounded", "diagonal_free")
+    for n in ((8, 64, 128) if kind.startswith("hadamard") else (8, 64, 130))
+]
+
+
+class TestGenNormHelper:
+    """`gen` norms its matrix on a helper thread while it writes the file."""
+
+    @pytest.mark.parametrize("kind, n", _GEN_CASES)
+    def test_printed_norm_and_file_match_the_references(self, capsys, tmp_path, kind, n):
+        path = tmp_path / "m.txt"
+        mu = ["--mu", "0.05"] if kind == "bounded" else []
+        code, out, _ = run(capsys, "gen", kind, str(n), "--seed", "9", *mu, "--out", str(path))
+        assert code == EXIT_OK
+        assert f"spectral_norm={cli._fmt(spectral_norm(read_matrix(path)))}" in out.splitlines()
+        a = gen_ensemble(cli._ENSEMBLE_ALIASES[kind], n, Seed(9), mu=0.05 if mu else None)
+        assert path.read_text() == oracles.matrix_to_text(a)
+
+    def test_helper_memory_error_exits_3(self, capsys, tmp_path, monkeypatch):
+        threads = []
+
+        def no_room(a):
+            threads.append(threading.current_thread())
+            raise MemoryError("no room for the SVD")
+
+        monkeypatch.setattr(cli, "spectral_norm", no_room)
+        before = threading.active_count()
+        code, out, err = run(capsys, "gen", "sign", "64", "--out", str(tmp_path / "m.txt"))
+        assert code == EXIT_CAPACITY and out == "" and err == "error: no room for the SVD\n"
+        assert threads and threads[0] is not threading.current_thread()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("target", ["missing/m.txt", ".", "m.txt"])
+    def test_unwritable_out_exits_2_and_joins_the_helper(
+        self, capsys, tmp_path, monkeypatch, target
+    ):
+        """A missing directory, a directory, and a rename that fails after
+        the temp file is written: exit 2, no temp file, and a helper slower
+        than the failed write is joined before main returns."""
+        if target == "m.txt":
+            def no_space(*args):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(fileio.os, "replace", no_space)
+        finished = []
+
+        def slow_norm(a):
+            time.sleep(0.2)
+            finished.append(a.n_rows)
+            return spectral_norm(a)
+
+        monkeypatch.setattr(cli, "spectral_norm", slow_norm)
+        before = threading.active_count()
+        code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / target))
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+        assert finished == [130] and threading.active_count() == before
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPave:
@@ -677,6 +751,23 @@ def test_non_finite_numbers_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and "error:" in err
     assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pave", "IN", "-m", "1", "--trials", "3"],
+    ["pave", "IN", "-m", "2", "--trials", "3"],
+    ["scan", "IN", "--vary", "rho", "--grid", "0.5", "--method", "exact"],
+])
+def test_overflowing_norm_exits_2_without_artifact(capsys, tmp_path, argv):
+    """A finite matrix whose spectral norm overflows float64 has no quality
+    ratio or moment to print: exit 2 before any output."""
+    src, out_path = tmp_path / "big.txt", tmp_path / "out.txt"
+    src.write_text("3 3\n1e308 -1e308 1e308\n1e308 1e308 -1e308\n-1e308 1e308 1e308\n")
+    argv = [str(src) if t == "IN" else t for t in argv]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: the spectral norm of this 3 x 3 matrix overflows float64\n"
     assert not out_path.exists()
 
 

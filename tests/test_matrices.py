@@ -127,6 +127,12 @@ class TestSpectralNorm:
     def test_empty_is_zero(self):
         assert spectral_norm(DenseMatrix.zeros(0, 0)) == 0.0
 
+    def test_overflow_raises(self):
+        signs = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+        assert spectral_norm(DenseMatrix(1e307 * signs)) == pytest.approx(2e307)
+        with pytest.raises(ParameterError, match="3 x 3 matrix overflows float64"):
+            spectral_norm(DenseMatrix(1e308 * signs))
+
     def test_matches_jacobi_oracle(self, rng):
         a = DenseMatrix(rng.uniform(-1, 1, (6, 6)))
         assert spectral_norm(a) == pytest.approx(jacobi_spectral_norm(a.data), abs=1e-10)

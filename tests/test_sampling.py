@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -250,6 +251,17 @@ class TestEnsembles:
     def test_bounded_random_needs_mu(self):
         with pytest.raises(ParameterError):
             gen_ensemble("bounded_random", 4, Seed(0))
+
+    @pytest.mark.parametrize("mu", [1e308, math.nextafter(sys.float_info.max / 2, math.inf)])
+    def test_bounded_random_needs_finite_width(self, mu):
+        """rng.uniform(-mu, mu) needs 2 * mu finite; past that it would raise
+        OverflowError, which is no pavelab error."""
+        with pytest.raises(ParameterError, match=r"2 \* mu finite"):
+            gen_ensemble("bounded_random", 4, Seed(0), mu=mu)
+
+    def test_bounded_random_widest_mu(self):
+        a = gen_ensemble("bounded_random", 1, Seed(0), mu=sys.float_info.max / 2)
+        assert abs(a.data[0, 0]) == 1.0
 
     def test_diagonal_free(self):
         a = gen_ensemble("diagonal_free_random", 9, Seed(5))
