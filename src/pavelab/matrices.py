@@ -10,9 +10,13 @@ sampler and paver.  A proper r x c block is scaled by its own power of two
 (its largest entry lands in [1/2, 1), so its Gram can neither overflow nor
 lose the norm to underflow) and its norm is the square root of the top
 eigenvalue of the smaller Gram, B^T B or B B^T: O(r c k) for the Gram plus
-O(k^3) for the eigenvalue, k = min(r, c), in closed form for k <= 3, with the
-near-double fallback (a 3 x 3 block whose top eigenvalue is near-double takes
-`eigvalsh`).  Two cases keep the singular-value-only SVD:
+O(k^3) for the eigenvalue, k = min(r, c).  `top_eigenvalues` picks the
+eigenvalue kernel by k alone: closed forms for k <= 3, Laguerre's method for
+k = 4, `eigvalsh` above; a 3 x 3 or 4 x 4 block takes `eigvalsh` only by its
+own state (a near-double top eigenvalue, a scale out of range, a value that
+is zero or not finite).  `scaled_grams` and `gram_norms` are the two halves
+of that rule, so a caller can norm blocks of several shapes with one
+eigenvalue stack.  Two cases keep the singular-value-only SVD:
 - the whole matrix, so every "nothing removed" pattern (rate 1, a one-block
   paving) equals `spectral_norm` bit for bit;
 - k > GRAM_MAX_K = 64: numpy's `syrk` Gram of a 100 x 100 block and
@@ -286,12 +290,98 @@ def _top_eigenvalues_3(blocks: np.ndarray) -> np.ndarray:
     return lam
 
 
+# The k = 4 kernel reads a block's lower triangle as the rows of a (10, B)
+# array: the diagonal, then a10, a20, a30, a21, a31, a32.  Its 2 x 2 minors
+# of rows (0, 1), u01 u02 u03 u12 u13 u23, and of rows (2, 3), v02 v03 v12
+# v13 v23 (v01 = u23 by symmetry), are x[i] x[j] - x[k] x[l]: i and j are
+# the first 11 entries of the two index arrays of _MINOR_ROWS, k and l the
+# last 11.
+_LOWER_4 = np.array([0, 5, 10, 15, 4, 8, 12, 9, 13, 14])
+_MINOR_ROWS = (np.array([0, 0, 0, 4, 4, 5, 5, 5, 7, 7, 2, 4, 5, 6, 5, 6, 6, 2, 9, 2, 9, 9]),
+               np.array([1, 7, 8, 7, 8, 8, 9, 3, 9, 3, 3, 4, 4, 4, 1, 1, 7, 6, 6, 8, 8, 9]))
+# det = u01 v23 + u03 v12 + u12 v03 + u23 u23 - u02 v13 - u13 v02, as
+# products of the minors in the order above
+_DET_MINORS = np.array([0, 2, 3, 5, 1, 4]), np.array([10, 8, 7, 5, 9, 6])
+# the principal 3 x 3 minors, each a row expansion such as d1 v23 - a21 v13
+# + a31 v12: entry rows times minors, first terms, then third, then second
+_COFACTOR_TERMS = (np.array([1, 0, 6, 5, 8, 6, 3, 2, 7, 5, 8, 7]),
+                   np.array([10, 10, 4, 3, 8, 6, 0, 0, 9, 7, 2, 1]))
+# A block whose polishing step is not within _CONVERGED_4 times the start has
+# not converged (a near-double top eigenvalue slows Laguerre down; a NaN
+# step fails too) and takes `eigvalsh`, as does a block whose D has its
+# largest entry outside _D_RANGE: below it D may hold subnormal entries (a
+# zero D, a scalar block, among them), above it q + mu may overflow.
+_CONVERGED_4 = 2.0 ** -32
+_D_RANGE = 2.0 ** -1000, 2.0 ** 1000
+
+
+def _det_and_adjugate_trace(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det, trace of the adjugate) of each symmetric 4 x 4 block of a
+    `_LOWER_4`-ordered (10, B) entry array, from its 2 x 2 minors."""
+    m = x.take(_MINOR_ROWS[0], axis=0) * x.take(_MINOR_ROWS[1], axis=0)
+    m = m[:11] - m[11:]
+    t = m.take(_DET_MINORS[0], axis=0) * m.take(_DET_MINORS[1], axis=0)
+    c = x.take(_COFACTOR_TERMS[0], axis=0) * m.take(_COFACTOR_TERMS[1], axis=0)
+    c = c[:4] + c[4:8] - c[8:]
+    return ((t[0] + t[1]) + (t[2] + t[3])) - (t[4] + t[5]), (c[0] + c[1]) + (c[2] + c[3])
+
+
+def _top_eigenvalues_4(blocks: np.ndarray) -> np.ndarray:
+    """lambda_max of each symmetric 4 x 4 block (lower triangle) by Laguerre's
+    method on its characteristic polynomial.
+
+    With q = trace / 4 and D = A - qI, scaled by its own power of two (largest
+    entry in [1/2, 1)) and made traceless again after q's rounding, the
+    polynomial is det(D - mu I) = mu^4 - ||D||_F^2 mu^2 / 2 - tr adj(D) mu +
+    det(D).  Its roots are real, so four Laguerre steps from the traceless
+    upper bound sqrt(3/4) ||D||_F descend monotonically to the largest, and
+    one Newton step polishes it with a determinant and derivative formed
+    from the entries of D - mu I.  Blocks whose step has not converged (a
+    near-double top eigenvalue, a value that is not finite) or whose D is
+    zero or out of range take `eigvalsh`, so each value depends only on its
+    own block.
+    """
+    x = blocks.reshape(-1, 16).T[_LOWER_4]
+    with np.errstate(all="ignore"):  # blocks that divide by 0 or overflow fall back
+        d0, d1, d2, d3 = x[:4]
+        q = ((d0 + d1) + (d2 + d3)) * 0.25
+        x[:4] -= q
+        size = np.abs(x).max(axis=0)
+        e = np.frexp(size)[1]
+        x = np.ldexp(x, -e)
+        d0, d1, d2, d3 = d = x[:4]
+        s = ((d0 + d1) + (d2 + d3)) * 0.25
+        d -= s
+        sq = x * x
+        off = sq[4:7] + sq[7:]
+        n2 = ((sq[0] + sq[1]) + (sq[2] + sq[3])) + 2.0 * ((off[0] + off[1]) + off[2])
+        c0, adj = _det_and_adjugate_trace(x)
+        c2, c2x24 = -0.5 * n2, -12.0 * n2
+        mu = start = np.sqrt(0.75 * n2)
+        for _ in range(4):  # mu -= 4p / (p' + sqrt(9p'^2 - 12 p p''))
+            mu2 = mu * mu
+            p = (mu2 + c2) * mu2 + (c0 - adj * mu)
+            dp = (4.0 * mu2 - n2) * mu - adj
+            mu = mu - 4.0 * p / (dp + np.sqrt(9.0 * (dp * dp) - p * (144.0 * mu2 + c2x24)))
+        d -= mu
+        f, adj = _det_and_adjugate_trace(x)  # det(D - mu I) and minus its derivative
+        step = f / adj
+        lam = q + np.ldexp(s + (mu + step), e)
+        ok = (np.abs(step) <= _CONVERGED_4 * start) & (size > _D_RANGE[0]) & (size < _D_RANGE[1])
+    if not ok.all():
+        bad = ~ok
+        lam[bad] = np.linalg.eigvalsh(blocks[bad])[:, -1]
+    return lam
+
+
 def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """lambda_max of each symmetric matrix of a (B, k, k) stack, k >= 1.
 
     k <= 3 use closed forms (k = 3 with the near-double fallback of
-    `_top_eigenvalues_3`); larger k go through `eigvalsh`, which reads the
-    lower triangle.  Each value depends only on its own block.
+    `_top_eigenvalues_3`), k = 4 the Laguerre kernel `_top_eigenvalues_4`
+    with its fallback; larger k go through `eigvalsh`, which reads the lower
+    triangle.  The kernel depends on k alone and each value only on its own
+    block.
     """
     k = blocks.shape[-1]
     if k == 1:
@@ -301,12 +391,29 @@ def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
         return 0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
     if k == 3:
         return _top_eigenvalues_3(blocks)
+    if k == 4:
+        return _top_eigenvalues_4(blocks)
     return np.linalg.eigvalsh(blocks)[:, -1]
 
 
 def gram_kernel(r: int, c: int, whole: bool) -> bool:
     """Whether `block_norms` norms r x c blocks by their Gram (else the SVD)."""
     return not whole and min(r, c) <= GRAM_MAX_K
+
+
+def scaled_grams(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(grams, shift): the smaller Gram of each block of a (B, r, c) stack
+    after scaling the block by 2^-shift, its largest entry in [1/2, 1)."""
+    r, c = blocks.shape[1:]
+    shift = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1]
+    b = np.ldexp(blocks, -shift[:, None, None])
+    bt = b.transpose(0, 2, 1)
+    return (bt @ b if c <= r else b @ bt), shift
+
+
+def gram_norms(grams: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The norms of the blocks of `scaled_grams` (any k x k stack of them)."""
+    return np.ldexp(np.sqrt(top_eigenvalues(grams)), shift)
 
 
 def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
@@ -321,11 +428,7 @@ def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
     r, c = blocks.shape[1:]
     if not gram_kernel(r, c, whole):
         return np.linalg.svd(blocks, compute_uv=False)[:, 0]
-    shift = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1]
-    b = np.ldexp(blocks, -shift[:, None, None])
-    bt = b.transpose(0, 2, 1)
-    lam = top_eigenvalues(bt @ b if c <= r else b @ bt)
-    return np.ldexp(np.sqrt(lam), shift)
+    return gram_norms(*scaled_grams(blocks))
 
 
 def batch_schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:

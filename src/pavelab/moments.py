@@ -16,16 +16,18 @@ results are bitwise reproducible.
 
 Cost model: a restricted norm ||A_{sigma,tau}|| is the norm of the gathered
 |sigma| x |tau| submatrix, so a pattern with r selected rows and c selected
-columns costs O(r c k), k = min(r, c), not O(n^3).  Patterns of equal (r, c)
-are gathered together in stacks of at most `_chunk_rows(r, c)` and normed by
-`matrices.block_norms`: the top eigenvalue of each block's k x k Gram (closed
-form for k <= 3, with the near-double fallback), except the whole matrix and
-k > 64, which take the SVD so that a rate-1 pattern equals `spectral_norm`
-bit for bit and no result depends on the BLAS thread count.  The whole
-BernoulliPair space is a product of row sets and column sets, so
-`pair_space_norms` forms one n x n Gram per row set (A_S^T A_S) or column
-set (A_T A_T^T) and then one k x k symmetric eigenproblem per pattern
-through the same `top_eigenvalues`.
+columns costs O(r c k), k = min(r, c), not O(n^3).  The blocks of one norm
+call are normed by `matrices` through the top eigenvalue of their k x k Gram
+(closed form for k <= 3 and a Laguerre kernel for k = 4, each with its
+`eigvalsh` fallback), except the whole matrix and k > 64, which take the SVD
+so that a rate-1 pattern equals `spectral_norm` bit for bit and no result
+depends on the BLAS thread count.  All Gram blocks of one size k form one
+stack, handed to `top_eigenvalues` in chunks of at most `_GRAM_CHUNK`
+blocks, so a norm call makes one kernel call per k and chunk: `masked_norms`
+gathers the submatrices of every (r, c) bucket with min(r, c) = k, and the
+whole BernoulliPair space, a product of row sets and column sets, forms one
+n x n Gram per row set (A_S^T A_S) or column set (A_T A_T^T) in
+`pair_space_norms` and gathers every pattern's k x k block from those.
 `exact_pattern_values` picks that kernel by model and never builds the 4^n
 pair mask rows; only `exact_patterns` expands one side's 2^n masks into
 them, for callers that read the rows.  Sampled pair patterns always go
@@ -36,15 +38,17 @@ an exact pattern space depend on neither the rate nor p, so
 popcounts its weights need) and exact moments of one matrix share one
 enumeration per pattern space.
 
-Spread rule: the stacks of one norm call (the (r, c) runs of
-`pair_space_norms`, the bucket chunks of `masked_norms`) are independent.
-Gram-kernel stacks of at least `_SPREAD_MIN_BLOCKS` blocks run on
-`_WORKERS` threads (one per CPU the process may use), largest first, each
-to the first free thread, with a big bucket cut into a chunk per worker;
-SVD stacks and smaller stacks run on the calling thread before any helper
-starts.  Helpers are started per call and joined before it returns.  Each
-norm depends only on its own block, so results are bitwise the same for any
-worker count.
+Spread rule: the stacks of one norm call (the per-k chunks, and the SVD
+buckets of `masked_norms`) are independent.  `masked_norms`' Gram stacks and
+`pair_space_norms`' `eigvalsh` stacks (k >= 5) of at least
+`_SPREAD_MIN_BLOCKS` blocks run on `_WORKERS` threads (one per CPU the
+process may use), largest first, each to the first free thread, with a big
+stack cut into a chunk per worker; SVD stacks and smaller stacks run on the
+calling thread before any helper starts, and the pair space's closed-form
+stacks (k <= 4: many small numpy calls, which two threads would run no
+faster than one) run on it while the helpers work.  Helpers are started per
+call and joined before it returns.  Each norm depends only on its own
+block, so results are bitwise the same for any worker count.
 """
 from __future__ import annotations
 
@@ -57,7 +61,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .matrices import DenseMatrix, block_norms, gram_kernel, top_eigenvalues
+from .matrices import (
+    DenseMatrix,
+    block_norms,
+    gram_kernel,
+    gram_norms,
+    scaled_grams,
+    top_eigenvalues,
+)
 from .sampling import (
     Bernoulli,
     BernoulliPair,
@@ -74,6 +85,7 @@ EXACT_BERNOULLI_MAX_N = 14
 EXACT_PAIR_MAX_N = 8
 EXACT_SIGNS_MAX_N = 14
 EXACT_UNIFORMK_MAX_PATTERNS = 10 ** 6
+EXACT_MASK_MAX_BYTES = 1 << 28  # the float64 mask rows of an exact space: 256 MiB
 
 
 def _cpu_count() -> int:
@@ -96,41 +108,44 @@ def _chunk_rows(r: int, c: int) -> int:
     return max(1, min(_BATCH, (1 << 22) // _WORKERS // max(1, r * c)))
 
 
-def _run_stacks(run, stacks) -> None:
-    """Call run(*args), which norms a stack of `blocks` blocks and stores
-    the norms, for each (blocks, spread, args) of `stacks`, by the spread
-    rule (module docstring): a stack with `spread` set (a Gram-kernel stack)
-    and at least `_SPREAD_MIN_BLOCKS` blocks is deferred to up to `_WORKERS`
-    threads, the calling one and helpers joined before this returns; every
-    other stack runs at once, on the calling thread, since SVD bits can
-    depend on how OpenBLAS splits its work.  `eigvalsh` releases the GIL.
-    The first exception raised in any thread is re-raised.
+def _run_stacks(stacks) -> None:
+    """Call fn(*args), which norms a stack of `blocks` blocks and stores the
+    norms, for each (blocks, where, fn, args) of `stacks`, by the spread
+    rule (module docstring).  A "spread" stack of at least
+    `_SPREAD_MIN_BLOCKS` blocks is deferred to up to `_WORKERS` threads, the
+    calling one and helpers joined before this returns; a "beside" stack
+    runs on the calling thread while the helpers work; every other stack
+    runs at once, on the calling thread, before any helper starts (SVD bits
+    can depend on how OpenBLAS splits its work).  `eigvalsh` releases the
+    GIL.  The first exception raised in any thread is re-raised.
     """
-    deferred = []
-    for blocks, spread, args in stacks:
-        if spread and blocks >= _SPREAD_MIN_BLOCKS:
-            deferred.append((blocks, args))
+    deferred, beside = [], []
+    for blocks, where, fn, args in stacks:
+        if where == "spread" and blocks >= _SPREAD_MIN_BLOCKS:
+            deferred.append((blocks, fn, args))
+        elif where == "beside":
+            beside.append((fn, args))
         else:
-            run(*args)
-    queue = iter([args for _, args in sorted(deferred, key=lambda stack: -stack[0])])
+            fn(*args)
+    queue = iter([(fn, args) for _, fn, args in sorted(deferred, key=lambda stack: -stack[0])])
     errors = []
 
-    def work():
+    def work(own=()):
         try:
-            for args in queue:
+            for fn, args in itertools.chain(own, queue):
                 if errors:  # another thread failed: stop at the next stack
                     break
-                run(*args)
+                fn(*args)
         except BaseException as exc:
             errors.append(exc)
 
     helpers = []
     try:
-        for _ in range(min(_WORKERS, len(deferred)) - 1):
+        for _ in range(min(_WORKERS, len(deferred) + bool(beside)) - 1):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
-        work()
+        work(beside)
     finally:
         for helper in helpers:
             helper.join()
@@ -203,26 +218,21 @@ def subset_bits(n: int, k: int) -> np.ndarray:
 # hold subnormal or flushed-to-zero squares.
 _TINY_GRAM = 2.0 ** -500
 
+# Gram-kernel stacks hold at most this many blocks, which bounds the live
+# temporaries of the closed-form kernels (about 0.9 kB a block at k = 4).
+_GRAM_CHUNK = 1024
 
-def _top_eigenvalues(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """lambda_max of grams[g][t, t] for every Gram g and index set t = idx[j],
-    as a (len(grams), len(idx)) array.
 
-    The blocks of a run of Grams are gathered with one `take` of their
-    positions in the raveled Grams and handed to `top_eigenvalues`, about
-    `_chunk_rows(k, k)` blocks at a time (all of them for k <= 3, whose
-    closed forms cost least per block in one large stack).
-    """
-    n_grams, n = grams.shape[:2]
-    n_sets, k = idx.shape
-    flat = grams.reshape(n_grams, n * n)
-    pos = (idx[:, :, None] * n + idx[:, None, :]).reshape(n_sets, k * k)
-    step = n_grams if k <= 3 else max(1, _chunk_rows(k, k) // n_sets)
-    out = np.empty((n_grams, n_sets))
-    for start in range(0, n_grams, step):
-        blocks = flat[start:start + step].take(pos, axis=1).reshape(-1, k, k)
-        out[start:start + step] = top_eigenvalues(blocks).reshape(-1, n_sets)
-    return out
+def _gram_chunks(count: int, per: int, step: int, spread: bool) -> list:
+    """(start, stop) ranges that cut one Gram size's stack, `count` units of
+    `per` blocks each, into chunks of at most `step` and `_GRAM_CHUNK` blocks
+    (but at least one unit), and into a share for each worker when the stack
+    is spread."""
+    step = min(step, _GRAM_CHUNK)
+    if spread:
+        step = min(step, max(_SPREAD_MIN_BLOCKS, -(-count * per // _WORKERS)))
+    step = max(1, step // per)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def pair_space_norms(a: np.ndarray) -> np.ndarray:
@@ -234,36 +244,50 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
     row sets come from one batched matmul, and likewise A_T A_T^T per column
     count c; ||A_{S,T}||^2 is the top eigenvalue of the c x c block [T, T] of
     the first when c <= r, else of the r x r block [S, S] of the second.  The
-    matrix is scaled by a power of two first so that the Grams neither
-    overflow nor underflow; a pattern whose scaled squared norm is below
-    `_TINY_GRAM` is recomputed by `masked_norms`.  Empty sides are 0.
+    blocks of one size k = min(r, c) form one stack, gathered chunk by chunk
+    from the Grams for `top_eigenvalues`.  The matrix is scaled by a power of
+    two first so that the Grams neither overflow nor underflow; a pattern
+    whose scaled squared norm is below `_TINY_GRAM` is recomputed by
+    `masked_norms`.  Empty sides are 0.
     """
     n = a.shape[0]
     size = 1 << n
-    out = np.zeros((size, size))
+    out = np.zeros(size * size)
     amax = float(np.abs(a).max()) if a.size else 0.0
     if amax == 0.0:
-        return out.ravel()
+        return out
     shift = math.frexp(amax)[1]
     b = np.ldexp(a, -shift)
     bits, codes, idx = size_index_rows(n)
+    # Gram g, raveled: A_S^T A_S at g = S_code, A_T A_T^T at g = size + T_code
+    grams = np.zeros((2 * size, n * n))
+    for k in range(1, n + 1):
+        for base, m in ((0, b), (size, b.T)):
+            rows = m[idx[k]]
+            grams[base + codes[k]] = np.matmul(rows.transpose(0, 2, 1), rows).reshape(-1, n * n)
+    # per size k, the Grams whose k x k blocks are needed (row sets of r >= k
+    # elements, then column sets of c > k), each for every k-set
+    gram_ids = [None] + [np.concatenate([codes[r] for r in range(k, n + 1)]
+                                        + [size + codes[c] for c in range(k + 1, n + 1)])
+                         for k in range(1, n + 1)]
+    pos = [None] + [(t[:, :, None] * n + t[:, None, :]).reshape(-1, k * k)
+                    for k, t in enumerate(idx) if k]
 
-    def grams(m: np.ndarray, k: int) -> np.ndarray:
-        rows = m[idx[k]]
-        return np.matmul(rows.transpose(0, 2, 1), rows)
+    def run(k: int, start: int, stop: int) -> None:
+        ids = gram_ids[k][start:stop, None]
+        lam = top_eigenvalues(grams[ids[:, 0]].take(pos[k], axis=1).reshape(-1, k, k))
+        sets = codes[k]
+        at = np.where(ids < size, ids * size + sets, sets * size + (ids - size))
+        out[at] = lam.reshape(at.shape)
 
-    row_grams = [None] + [grams(b, k) for k in range(1, n + 1)]
-    col_grams = [None] + [grams(b.T, k) for k in range(1, n + 1)]
-
-    def run(r: int, c: int) -> None:
-        if c <= r:
-            lam = _top_eigenvalues(row_grams[r], idx[c])
-        else:
-            lam = _top_eigenvalues(col_grams[c], idx[r]).T
-        out[codes[r][:, None], codes[c][None, :]] = lam
-
-    sizes = range(1, n + 1)
-    _run_stacks(run, ((codes[r].size * codes[c].size, True, (r, c)) for r in sizes for c in sizes))
+    stacks = []
+    for k in range(1, n + 1):
+        spread = k >= 5  # `eigvalsh` stacks; the closed forms run beside them
+        per = codes[k].size
+        stacks += [((stop - start) * per, "spread" if spread else "beside", run, (k, start, stop))
+                   for start, stop in _gram_chunks(gram_ids[k].size, per, _chunk_rows(k, k), spread)]
+    _run_stacks(stacks)
+    out = out.reshape(size, size)
     tiny = out < _TINY_GRAM
     tiny[0, :] = tiny[:, 0] = False
     out = np.ldexp(np.sqrt(np.maximum(out, 0.0)), shift)
@@ -277,10 +301,12 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
     """||P_sigma A P_tau|| for each (row mask, column mask) pair of rows.
 
     The norm is that of the gathered |sigma| x |tau| submatrix.  Patterns are
-    bucketed by (row count, column count), and each bucket's submatrices are
-    normed by `block_norms` as one stack in chunks of `_chunk_rows(r, c)`
-    (the bucket that selects all of A as the whole matrix); patterns with an
-    empty side are 0.  Results come back in input order.
+    bucketed by (row count, column count).  Gram-kernel buckets of one size
+    k = min(r, c) form one stack, normed in chunks of `_chunk_rows` of their
+    largest block: each bucket's part of a chunk by `scaled_grams`, the whole
+    chunk by one `gram_norms`.  The other buckets (the whole matrix, k > 64)
+    take `block_norms`' SVD per bucket; patterns with an empty side are 0.
+    Results come back in input order.
     """
     rows = np.asarray(row_bits) != 0
     cols = np.asarray(col_bits) != 0
@@ -289,29 +315,54 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
         return out
     r_count = rows.sum(axis=1)
     c_count = cols.sum(axis=1)
-    key = r_count * (cols.shape[1] + 1) + c_count
-    order = np.argsort(key, kind="stable")
+    n_r, n_c = rows.shape[1] + 1, cols.shape[1] + 1
+    key = (np.minimum(r_count, c_count) * n_r + r_count) * n_c + c_count
+    order = np.argsort(key, kind="stable")  # by k, then r, then c
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
 
-    def run(sel: np.ndarray, r: int, c: int, whole: bool) -> None:
+    def gather(sel: np.ndarray, r: int, c: int) -> np.ndarray:
         ri = np.nonzero(rows[sel])[1].reshape(-1, r)
         ci = np.nonzero(cols[sel])[1].reshape(-1, c)
-        out[sel] = block_norms(a[ri[:, :, None], ci[:, None, :]], whole)
+        return a[ri[:, :, None], ci[:, None, :]]
 
-    stacks = []
+    def run_svd(sel: np.ndarray, r: int, c: int, whole: bool) -> None:
+        out[sel] = block_norms(gather(sel, r, c), whole)
+
+    def run_gram(parts: list) -> None:
+        """Norm the (sel, r, c) runs of `parts`, all of one Gram size, as one stack."""
+        if len(parts) == 1:
+            sel = parts[0][0]
+            grams, shifts = scaled_grams(gather(*parts[0]))
+        else:
+            sel = np.concatenate([part[0] for part in parts])
+            grams, shifts = map(np.concatenate, zip(*(scaled_grams(gather(*part)) for part in parts)))
+        out[sel] = gram_norms(grams, shifts)
+
+    stacks, by_k = [], {}
     for bucket in np.split(order, starts[1:]):
         r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
         if r == 0 or c == 0:
             continue
         whole = (r, c) == a.shape
-        spread = gram_kernel(r, c, whole)
+        if gram_kernel(r, c, whole):  # runs, blocks, largest r c
+            group = by_k.setdefault(min(r, c), [[], 0, 0])
+            group[0].append((bucket, r, c))
+            group[1] += bucket.size
+            group[2] = max(group[2], r * c)
+            continue
         step = _chunk_rows(r, c)
-        if spread:  # a share for each worker
-            step = min(step, max(_SPREAD_MIN_BLOCKS, -(-bucket.size // _WORKERS)))
         for start in range(0, bucket.size, step):
             sel = bucket[start:start + step]
-            stacks.append((sel.size, spread, (sel, r, c, whole)))
-    _run_stacks(run, stacks)
+            stacks.append((sel.size, "now", run_svd, (sel, r, c, whole)))
+    for runs, count, rc in by_k.values():
+        for start, stop in _gram_chunks(count, 1, _chunk_rows(1, rc), True):
+            parts, at = [], 0
+            for sel, r, c in runs:
+                if start < at + sel.size and at < stop:
+                    parts.append((sel[max(start - at, 0):stop - at], r, c))
+                at += sel.size
+            stacks.append((stop - start, "spread", run_gram, (parts,)))
+    _run_stacks(stacks)
     return out
 
 
@@ -355,33 +406,42 @@ def weighted_moment_stats(
 # Pattern spaces, norms and the reduction
 # ---------------------------------------------------------------------------
 
+def _check_capacity(model: ProjectorModel) -> None:
+    """Raise CapacityError if the model's exact pattern space is past the
+    enumeration caps: its pattern count, and for UniformK the bytes of its
+    C(n, k) x n mask rows, checked before anything is allocated."""
+    n = model.n
+    if isinstance(model, Bernoulli) and n > EXACT_BERNOULLI_MAX_N:
+        raise CapacityError(f"exact Bernoulli enumeration needs 2^{n} patterns")
+    if isinstance(model, UniformK):
+        count = math.comb(n, model.k)
+        mask_bytes = 8 * n * count
+        if count > EXACT_UNIFORMK_MAX_PATTERNS or mask_bytes > EXACT_MASK_MAX_BYTES:
+            raise CapacityError(
+                f"exact uniform-k enumeration needs {count} patterns and {mask_bytes} bytes "
+                f"of masks (caps: {EXACT_UNIFORMK_MAX_PATTERNS} patterns, "
+                f"{EXACT_MASK_MAX_BYTES} bytes)"
+            )
+    if isinstance(model, BernoulliPair) and n > EXACT_PAIR_MAX_N:
+        raise CapacityError(f"exact pair enumeration needs 4^{n} patterns")
+    if isinstance(model, RademacherSigns) and n > EXACT_SIGNS_MAX_N:
+        raise CapacityError(f"exact sign enumeration needs 2^{n} patterns")
+
+
 def _exact_space(model: ProjectorModel) -> tuple[tuple, np.ndarray]:
     """(patterns, counts): the model's full pattern space as in
     `exact_patterns` (one side's 2^n masks for BernoulliPair), and the
     popcounts of the masks its weights are built from.  Raises CapacityError
     past the enumeration caps."""
+    _check_capacity(model)
     n = model.n
-    if isinstance(model, Bernoulli):
-        if n > EXACT_BERNOULLI_MAX_N:
-            raise CapacityError(f"exact Bernoulli enumeration needs 2^{n} patterns")
-        bits = mask_bits(n)
-        return (bits,), bits.sum(axis=1)
     if isinstance(model, UniformK):
-        count = math.comb(n, model.k)
-        if count > EXACT_UNIFORMK_MAX_PATTERNS:
-            raise CapacityError(f"exact uniform-k enumeration needs {count} patterns")
         bits = subset_bits(n, model.k)
         return (bits,), bits.sum(axis=1)
-    if isinstance(model, BernoulliPair):
-        if n > EXACT_PAIR_MAX_N:
-            raise CapacityError(f"exact pair enumeration needs 4^{n} patterns")
+    if isinstance(model, (Bernoulli, BernoulliPair, RademacherSigns)):
         bits = mask_bits(n)
-        return (bits,), bits.sum(axis=1)
-    if isinstance(model, RademacherSigns):
-        if n > EXACT_SIGNS_MAX_N:
-            raise CapacityError(f"exact sign enumeration needs 2^{n} patterns")
-        bits = mask_bits(n)
-        return (2.0 * bits - 1.0,), bits.sum(axis=1)
+        patterns = 2.0 * bits - 1.0 if isinstance(model, RademacherSigns) else bits
+        return (patterns,), bits.sum(axis=1)
     raise ParameterError(f"unknown model {model!r}")
 
 
@@ -499,6 +559,7 @@ def exact_pattern_values(a: DenseMatrix, model: ProjectorModel):
     """
     global _last_norms
     _check_model_dim(a, model)
+    _check_capacity(model)  # before the key copies the matrix
     data = a.data
     k = model.k if isinstance(model, UniformK) else None
     key = (type(model), model.n, k, _BATCH, data.shape, data.tobytes())

@@ -62,22 +62,31 @@ def jacobi_schatten_norm(a, p) -> float:
     return float(np.sum(sv ** p) ** (1.0 / p)) if sv.size else 0.0
 
 
+def _fraction_det(m) -> Fraction:
+    """Determinant of a square list of lists of Fractions (Laplace expansion)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _fraction_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
 def above_every_eigenvalue(a, x) -> bool:
-    """Whether x exceeds every eigenvalue of the symmetric 3 x 3 matrix `a`
+    """Whether x exceeds every eigenvalue of the symmetric k x k matrix `a`
     (lower triangle), in exact rational arithmetic.
 
     The roots of det((x + t) I - a) are lambda_i - x, all real, so they are
     all negative exactly when its coefficients are all positive (Descartes'
-    rule of signs): trace, sum of principal 2 x 2 minors and determinant of
-    xI - a.
+    rule of signs).  The coefficient of t^(k - j) is the sum of the principal
+    j x j minors of xI - a.
     """
-    b = [[Fraction(float(a[max(i, j)][min(i, j)])) for j in range(3)] for i in range(3)]
-    m = [[(Fraction(float(x)) if i == j else 0) - b[i][j] for j in range(3)] for i in range(3)]
-    minors = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return m[0][0] + m[1][1] + m[2][2] > 0 and minors > 0 and det > 0
+    k = len(a)
+    m = [[(Fraction(float(x)) if i == j else 0) - Fraction(float(a[max(i, j)][min(i, j)]))
+          for j in range(k)] for i in range(k)]
+    return all(
+        sum(_fraction_det([[m[i][j] for j in rows] for i in rows])
+            for rows in itertools.combinations(range(k), size)) > 0
+        for size in range(1, k + 1)
+    )
 
 
 def brute_force_pair_moment(a: np.ndarray, rate: float, p: float) -> float:

@@ -330,8 +330,9 @@ class TestBlockNorms:
 
 
 def _rotated(rng, lams):
-    """Symmetric 3 x 3 blocks Q diag(lams[j]) Q^T for random orthogonal Q."""
-    q = np.linalg.qr(rng.standard_normal((len(lams), 3, 3)))[0]
+    """Symmetric k x k blocks Q diag(lams[j]) Q^T for random orthogonal Q."""
+    k = np.shape(lams)[1]
+    q = np.linalg.qr(rng.standard_normal((len(lams), k, k)))[0]
     blocks = (q * np.asarray(lams, dtype=float)[:, None, :]) @ q.transpose(0, 2, 1)
     return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
@@ -450,11 +451,7 @@ class TestTopEigenvaluesThree:
         lams = np.column_stack([np.full(1000, 1.0), rng.uniform(0, 0.8, 1000), rng.uniform(-1, 0, 1000)])
         blocks = _rotated(rng, lams)
         want = top_eigenvalues(blocks)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        _forbid_eigvalsh(monkeypatch)
         for size in (1, 2, 10, 1000):
             assert np.array_equal(top_eigenvalues(blocks[:size]), want[:size])
 
@@ -466,6 +463,136 @@ class TestTopEigenvaluesThree:
                                            rng.uniform(-1, 0.5, 30)])),
             np.zeros((2, 3, 3)), 4.0 * np.ones((2, 3, 3)),
             np.ldexp(x[:10] @ x[:10].transpose(0, 2, 1), 400),
+        ])
+        order = rng.permutation(len(blocks))
+        alone = np.concatenate([top_eigenvalues(b[None]) for b in blocks])
+        assert np.array_equal(top_eigenvalues(blocks), alone)
+        assert np.array_equal(top_eigenvalues(blocks[order]), alone[order])
+
+
+def _forbid_eigvalsh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+
+class TestTopEigenvaluesFour:
+    """The k = 4 Laguerre kernel against the Jacobi oracle, `eigvalsh` (within
+    1e-14 of the block's spectral radius) and the exact rational oracle, and
+    its `eigvalsh` fallback bit for bit."""
+
+    _assert_close = staticmethod(TestTopEigenvaluesThree._assert_close)
+    _assert_exact_within = staticmethod(TestTopEigenvaluesThree._assert_exact_within)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 64])
+    def test_grams_match_jacobi(self, rng, c):
+        """Rank 1, 2 and 3 Grams at c = 1, 2, 3; full rank above."""
+        x = rng.uniform(-1, 1, (150, 4, c))
+        grams = x @ x.transpose(0, 2, 1)
+        got = top_eigenvalues(grams)
+        want = np.array([jacobi_singular_values(b)[0] ** 2 for b in x])
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        self._assert_close(got, grams)
+
+    def test_mixed_signs_match_jacobi(self, rng):
+        """lambda_max(S) = sigma_max(S + cI) - c once S + cI is positive."""
+        lams = rng.uniform(-1, 1, (300, 4)) * 10.0 ** rng.uniform(-3, 0, (300, 4))
+        blocks = _rotated(rng, lams)
+        got = top_eigenvalues(blocks)
+        self._assert_close(got, blocks)
+        shift = np.abs(lams).sum(axis=1)
+        want = [jacobi_singular_values(b + c * np.eye(4))[0] - c for b, c in zip(blocks, shift)]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(lams).max(axis=1))
+        assert np.any(got < 0)  # some blocks have only negative eigenvalues
+
+    def test_all_negative_blocks(self, rng):
+        x = rng.uniform(-1, 1, (200, 4, 5))
+        blocks = -(x @ x.transpose(0, 2, 1))
+        got = top_eigenvalues(blocks)
+        self._assert_close(got, blocks)
+        assert np.all(got < 0)
+
+    @pytest.mark.parametrize("gap", [10.0 ** -e for e in range(1, 17)])
+    def test_near_double_top_eigenvalue(self, rng, gap):
+        blocks = _rotated(rng, np.column_stack([
+            np.ones(100), np.full(100, 1 - gap), rng.uniform(-1, 0.5, (100, 2))
+        ]))
+        got = top_eigenvalues(blocks)
+        self._assert_close(got, blocks)
+        if gap <= 1e-3:  # far inside the near-double fallback: eigvalsh's bits
+            assert np.array_equal(got, _eigvalsh_top(blocks))
+
+    # Entries (hex) of a near-scalar block (spread 1e-8) whose value is 5 eps
+    # off unless D is made traceless again after q's rounding.
+    _RECENTRE_CASE = [
+        "-0x1.4f777e667196ap-1", "-0x1.9c57f7c19614ap-29", "0x1.d6696c174c516p-32",
+        "0x1.f282c6cb2dbf2p-33", "-0x1.9c57f7c19614ap-29", "-0x1.4f777e5752938p-1",
+        "-0x1.2c3997d8cdb16p-30", "0x1.876231a98cddfp-31", "0x1.d6696c174c516p-32",
+        "-0x1.2c3997d8cdb16p-30", "-0x1.4f777e69ab140p-1", "-0x1.a037633043419p-30",
+        "0x1.f282c6cb2dbf2p-33", "0x1.876231a98cddfp-31", "-0x1.a037633043419p-30",
+        "-0x1.4f777e76c1295p-1",
+    ]
+
+    def test_within_a_few_eps_of_the_exact_top_eigenvalue(self, rng):
+        case = np.array([float.fromhex(v) for v in self._RECENTRE_CASE]).reshape(1, 4, 4)
+        self._assert_exact_within(top_eigenvalues(case), case, 2)
+        x = rng.uniform(-1, 1, (200, 4, 5))
+        grams = x @ x.transpose(0, 2, 1)
+        self._assert_exact_within(top_eigenvalues(grams), grams, 4)
+
+    @pytest.mark.parametrize("spread", [10.0 ** -e for e in range(1, 17)])
+    def test_near_scalar_blocks(self, rng, spread):
+        centre = rng.uniform(-2, 2, (100, 1))
+        blocks = _rotated(rng, centre * (1 + spread * rng.uniform(-1, 1, (100, 4))))
+        self._assert_close(top_eigenvalues(blocks), blocks)
+
+    def test_exact_cases(self):
+        """A rank-one block in closed form; a zero, scalar or exactly double
+        block through the fallback; a NaN block fails as in `eigvalsh`."""
+        assert np.array_equal(top_eigenvalues(np.ones((1, 4, 4))), [4.0])
+        fallback = np.stack([np.zeros((4, 4)), 2.5 * np.eye(4), np.diag([1.0, 1.0, 0.0, -1.0])])
+        got = top_eigenvalues(fallback)
+        assert np.array_equal(got, [0.0, 2.5, 1.0]) and not np.signbit(got[0])
+        assert np.array_equal(got, _eigvalsh_top(fallback))
+        with pytest.raises(np.linalg.LinAlgError):
+            top_eigenvalues(np.full((1, 4, 4), np.nan))
+
+    @pytest.mark.parametrize("e", [-300, 300])
+    def test_power_of_two_scaling_is_exact(self, rng, e):
+        lams = np.column_stack([np.full(200, 1.0), rng.uniform(0.1, 0.6, 200),
+                                rng.uniform(-1, 0, (200, 2))])
+        blocks = _rotated(rng, lams * 10.0 ** rng.uniform(-4, 4, (200, 1)))
+        scaled = np.ldexp(blocks, e)
+        got = top_eigenvalues(scaled)
+        assert np.array_equal(got, np.ldexp(top_eigenvalues(blocks), e))
+        self._assert_close(got, scaled)
+
+    @pytest.mark.parametrize("e", [-1060, -1010, 1010, 1021])
+    def test_out_of_range_blocks_take_eigvalsh(self, rng, e):
+        x = rng.uniform(-1, 1, (50, 4, 5))
+        blocks = np.ldexp(x @ x.transpose(0, 2, 1), e)
+        assert np.array_equal(top_eigenvalues(blocks), _eigvalsh_top(blocks))
+
+    def test_separated_blocks_never_call_eigvalsh(self, monkeypatch, rng):
+        """The kernel serves every stack size, one block included."""
+        lams = np.column_stack([np.full(1000, 1.0), rng.uniform(0, 0.8, 1000),
+                                rng.uniform(-1, 0, (1000, 2))])
+        blocks = _rotated(rng, lams)
+        want = top_eigenvalues(blocks)
+        _forbid_eigvalsh(monkeypatch)
+        for size in (1, 2, 10, 1000):
+            assert np.array_equal(top_eigenvalues(blocks[:size]), want[:size])
+
+    def test_each_value_depends_only_on_its_block(self, rng):
+        x = rng.uniform(-1, 1, (60, 4, 5))
+        blocks = np.concatenate([
+            x @ x.transpose(0, 2, 1),
+            _rotated(rng, np.column_stack([np.ones(30), 1 - 10.0 ** -rng.uniform(1, 16, 30),
+                                           rng.uniform(-1, 0.5, (30, 2))])),
+            np.zeros((2, 4, 4)), 4.0 * np.ones((2, 4, 4)),
+            np.ldexp(x[:10] @ x[:10].transpose(0, 2, 1), 400),
+            np.ldexp(x[:10] @ x[:10].transpose(0, 2, 1), 1010),
         ])
         order = rng.permutation(len(blocks))
         alone = np.concatenate([top_eigenvalues(b[None]) for b in blocks])

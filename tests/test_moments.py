@@ -112,6 +112,21 @@ class TestExactMoment:
         with pytest.raises(CapacityError):
             exact_moment(DenseMatrix.zeros(30), UniformK(30, 15), 2.0)
 
+    def test_uniform_k_mask_bytes_are_capped_before_allocating(self):
+        """UniformK(1000, 2) has 499,500 patterns, under the pattern cap, but
+        its float64 masks would take 4 GB."""
+        a = DenseMatrix.zeros(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="499500 patterns and 3996000000 bytes"):
+                exact_moment(a, UniformK(1000, 2), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        patterns, counts = moments._exact_space(UniformK(20, 10))
+        assert patterns[0].shape == (math.comb(20, 10), 20) and np.all(counts == 10)
+
     def test_rejects_bad_p(self):
         with pytest.raises(ParameterError):
             exact_moment(DenseMatrix.identity(2), Bernoulli(2, 0.5), 0.0)
@@ -283,6 +298,33 @@ class TestMaskedNorms:
         assert got[0] == 0.0 and not np.signbit(got[0])
         assert list(got[1:]) == [3.0e-200] * 3
 
+    def test_one_kernel_call_per_gram_size(self, monkeypatch, rng):
+        """Buckets of equal k = min(r, c) share one eigenvalue stack, in the
+        masked kernel and in the pair space (whose stacks fit one chunk at
+        n = 5), with the same bits as one call per block."""
+        a = rng.uniform(-1.0, 1.0, (9, 9))
+        shapes = [(3, 4), (4, 3), (3, 5), (4, 5), (5, 4), (2, 2)]
+        rows, cols = np.zeros((60, 9), dtype=bool), np.zeros((60, 9), dtype=bool)
+        for j in range(60):
+            r, c = shapes[j % len(shapes)]
+            rows[j, rng.choice(9, r, replace=False)] = True
+            cols[j, rng.choice(9, c, replace=False)] = True
+        alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(60)]
+        calls = []
+        real = matrices.top_eigenvalues
+
+        def top_eigenvalues(blocks):
+            calls.append(blocks.shape)
+            return real(blocks)
+
+        monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
+        monkeypatch.setattr(moments, "top_eigenvalues", top_eigenvalues)
+        assert np.array_equal(masked_norms(a, rows, cols), alone)
+        assert sorted(calls) == [(10, 2, 2), (20, 4, 4), (30, 3, 3)]
+        calls.clear()
+        moments.pair_space_norms(a[:5, :5])
+        assert sorted(shape[1] for shape in calls) == [1, 2, 3, 4, 5]
+
 
 class TestChunkSizeDeterminism:
     """Outputs are bitwise identical whatever the batch size of the kernels."""
@@ -422,6 +464,26 @@ class TestWorkerCounts:
         alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(0, len(rows), 7)]
         assert np.array_equal(got[0][::7], alone)
 
+    @pytest.mark.parametrize("kind", ["uniform", "sign"])
+    def test_k4_stacks_bitwise_across_worker_counts(self, monkeypatch, rng, kind):
+        """Buckets of 4 x c and r x 4 patterns, 300 each, make one stack of
+        4 x 4 Grams; a +-1 matrix sends some of them to the fallback.  The
+        pair space of an 8 x 8 matrix holds 17,920 blocks of 4 x 4."""
+        n = 12
+        a = rng.uniform(-1.0, 1.0, (n, n)) if kind == "uniform" else rng.choice([-1.0, 1.0], (n, n))
+        shapes = [(4, c) for c in range(4, 10)] + [(r, 4) for r in range(5, 10)]
+        rows, cols = np.zeros((300 * len(shapes), n), dtype=bool), np.zeros((300 * len(shapes), n), dtype=bool)
+        for j, (r, c) in enumerate(shapes):
+            for row in range(300 * j, 300 * j + 300):
+                rows[row, rng.choice(n, r, replace=False)] = True
+                cols[row, rng.choice(n, c, replace=False)] = True
+        got = self._each(monkeypatch, lambda: masked_norms(a, rows, cols))
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
+        alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(0, len(rows), 7)]
+        assert np.array_equal(got[0][::7], alone)
+        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(a[:8, :8]))
+        assert np.array_equal(pair[0], pair[1]) and np.array_equal(pair[0], pair[2])
+
     def test_random_pave_bitwise_across_worker_counts(self, monkeypatch, rng):
         a = DenseMatrix(rng.uniform(-1.0, 1.0, (64, 64)))
         got = self._each(monkeypatch, lambda: random_pave(a, 8, 2000, Seed(4)))
@@ -536,6 +598,24 @@ def test_exact_bernoulli_and_uniform_k_match_per_subset_brute_force(rng, n):
     for k in range(1, n + 1):
         want = float(np.mean(norms[sizes == k] ** p)) ** (1.0 / p)
         assert exact_moment(matrix, UniformK(n, k), p).value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, moments.EXACT_SIGNS_MAX_N + 1))
+def test_exact_sign_moment_matches_brute_force_at_every_n(rng, n):
+    """The exact RademacherSigns moment of an m x n matrix (m = 2, 3, 4):
+    against the Jacobi brute force up to n = 10, above that against a float
+    sum over one `np.linalg.svd` per sign pattern."""
+    a = rng.uniform(-1.0, 1.0, (2 + n % 3, n))
+    p = 4.0
+    got = exact_moment(DenseMatrix(a), RademacherSigns(n), p).value
+    if n <= 10:
+        want = brute_force_sign_moment(a, p)
+    else:
+        total = 0.0
+        for signs in itertools.product([-1.0, 1.0], repeat=n):
+            total += np.linalg.svd((a * np.array(signs)) @ a.T, compute_uv=False)[0] ** p
+        want = (total / 2 ** n) ** (1.0 / p)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 _LAYER_MODELS = [Bernoulli(6, 0.3), UniformK(6, 2), BernoulliPair(4, 0.4), RademacherSigns(7)]
