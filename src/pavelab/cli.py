@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import pickle
+import signal
 import sys
 import threading
 
-from . import bounds, fileio, suites
+from . import bounds, fileio, moments, suites
 from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
 from .inequalities import CASE_IDS, format_report, verify_inequality
 from .matrices import (
@@ -170,37 +173,123 @@ def _cmd_pave(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _case_checks(case_id: str, size: str, master: int | None):
-    """(instance label, report line, holds) per suite instance of one case."""
+def _case_items(case_id: str, size: str, master: int | None):
+    """(instance label, check) per suite instance of one case; check() gives
+    (report line, holds)."""
     if size == "smoke":
         pool = [(0, suites.smoke_instance(case_id))]
     else:
         pool = suites.suite_instances(case_id, suites.SIZE_COUNTS[size], master)
-    for label, inst in pool:
-        rep = verify_inequality(case_id, inst, method="exact")
-        yield label, format_report(rep), rep.holds
+    return [(label, functools.partial(_case_check, case_id, inst)) for label, inst in pool]
 
 
-def _markov_checks():
-    for d in range(0, 11):
-        rep = check_markov(chebyshev_coefficients(d), d)
-        line = f"case=MARKOV degree={d} max={'%.12g' % rep.max_abs} holds={_flag(rep.holds)}"
-        yield d, line, rep.holds
+def _case_check(case_id: str, inst):
+    rep = verify_inequality(case_id, inst, method="exact")
+    return format_report(rep), rep.holds
 
 
-def _sandwich_checks(size: str, master: int | None):
-    grid = [0.1 * i for i in range(1, 10)]
+def _markov_check(d: int):
+    rep = check_markov(chebyshev_coefficients(d), d)
+    return f"case=MARKOV degree={d} max={'%.12g' % rep.max_abs} holds={_flag(rep.holds)}", rep.holds
+
+
+def _sandwich_items(size: str, master: int | None):
     if size == "smoke":
         pool = [(0, DenseMatrix.zeros(4), 4)]
     else:
         pool = suites.sandwich_instances(suites.SIZE_COUNTS[size], master)
-    for label, x, p in pool:
-        rep = check_polynomial_sandwich(x, p, grid)
-        line = (
-            f"case=SANDWICH n={x.n_rows} p={p} holds={_flag(rep.holds)} "
-            f"monotone={_flag(rep.monotone)}"
-        )
-        yield label, line, rep.holds and rep.monotone
+    return [(label, functools.partial(_sandwich_check, x, p)) for label, x, p in pool]
+
+
+def _sandwich_check(x: DenseMatrix, p: int):
+    rep = check_polynomial_sandwich(x, p, [0.1 * i for i in range(1, 10)])
+    line = (
+        f"case=SANDWICH n={x.n_rows} p={p} holds={_flag(rep.holds)} "
+        f"monotone={_flag(rep.monotone)}"
+    )
+    return line, rep.holds and rep.monotone
+
+
+def _run_checks(checks):
+    """(outcomes of the checks in order, up to the first that raises; that
+    exception, or None)."""
+    outcomes = []
+    try:
+        for check in checks:
+            outcomes.append(check())
+    except Exception as exc:  # re-raised by the caller, after the lines before it
+        return outcomes, exc
+    return outcomes, None
+
+
+def _fork(checks):
+    """(pid, read end of its pipe) of a child that sends the pickled
+    _run_checks(checks) down the pipe and exits 0.  The child leaves by
+    os._exit on every path, so it never flushes the buffers it inherited."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:  # a process or memory limit
+        os.close(read)
+        os.close(write)
+        raise CapacityError(f"cannot fork a verify process: {exc}") from exc
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            payload = pickle.dumps(_run_checks(checks))
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _read_pipe(read: int) -> bytes:
+    with open(read, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _run_split(checks):
+    """_run_checks(checks), with check i run by process i mod N: this one and
+    N - 1 forked children, N = `moments._WORKERS` (one per CPU the process
+    may use).  Off Linux, at N = 1 or while other threads run (a forked
+    child would inherit the locks they hold) this process runs every check.
+    Each process norms on its calling thread: the processes already take
+    every CPU.  Every child is reaped before this returns or raises, and
+    killed first when this process's own checks raise."""
+    procs = min(moments._WORKERS, len(checks))
+    if sys.platform != "linux" or procs <= 1 or threading.active_count() > 1:
+        return _run_checks(checks)
+    saved, moments._WORKERS = moments._WORKERS, 1
+    children, payloads, codes = [], [], []
+    try:
+        for w in range(1, procs):
+            children.append(_fork(checks[w::procs]))
+        shares = [_run_checks(checks[::procs])]
+        payloads = [_read_pipe(read) for _, read in children]
+    finally:
+        moments._WORKERS = saved
+        for pid, read in children:
+            if len(payloads) < len(children):  # leaving on an exception
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            os.close(read)
+    for (pid, _), payload, code in zip(children, payloads, codes):
+        if code == 0:
+            shares.append(pickle.loads(payload))
+        else:
+            how = f"killed by signal {-code}" if code < 0 else f"exited {code}"
+            shares.append(([], MemoryError(f"verify process {pid} {how} without a result")))
+    outcomes = []
+    for i in range(len(checks)):
+        done, error = shares[i % procs]
+        if i // procs == len(done):
+            return outcomes, error
+        outcomes.append(done[i // procs])
+    return outcomes, None
 
 
 def _cmd_verify(args) -> int:
@@ -212,23 +301,31 @@ def _cmd_verify(args) -> int:
     else:
         raise ParameterError(f"unknown suite {args.suite!r}; pick from all, {', '.join(known)}")
     master = None if args.seed is None else parse_seed(args.seed).master
-    all_failures = []
+    cases = []
     for case_id in chosen:
         if case_id == "MARKOV":
-            checks = _markov_checks()
+            items = [(d, functools.partial(_markov_check, d)) for d in range(0, 11)]
         elif case_id == "SANDWICH":
-            checks = _sandwich_checks(args.size, master)
+            items = _sandwich_items(args.size, master)
         else:
-            checks = _case_checks(case_id, args.size, master)
-        passed = total = 0
-        for label, line, ok in checks:
+            items = _case_items(case_id, args.size, master)
+        cases.append((case_id, items))
+    outcomes, error = _run_split([check for _, items in cases for _, check in items])
+    outcomes = iter(outcomes)
+    all_failures = []
+    for case_id, items in cases:
+        passed = 0
+        for label, _ in items:
+            outcome = next(outcomes, None)
+            if outcome is None:
+                raise error
+            line, ok = outcome
             print(line)
-            total += 1
             if ok:
                 passed += 1
             else:
                 all_failures.append((case_id, label))
-        print(f"suite={case_id} passed={passed}/{total}")
+        print(f"suite={case_id} passed={passed}/{len(items)}")
     print(f"all_hold={_flag(not all_failures)}")
     for case_id, label in all_failures:
         print(f"violation case={case_id} instance_seed={label}")

@@ -96,7 +96,8 @@ def _cpu_count() -> int:
 
 
 # Threads one norm call spreads its large Gram stacks over (the calling
-# thread among them); read at call time, as `_BATCH` is.
+# thread among them); read at call time, as `_BATCH` is.  `verify` splits
+# its instances over as many processes, setting this to 1 while they run.
 _WORKERS = _cpu_count()
 # Smaller stacks stay on the calling thread: handing the GIL back and forth
 # would cost more than they do.

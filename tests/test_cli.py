@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import pytest
 import pavelab
 
 from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, mc_moment, spectral_norm
-from pavelab import bounds, cli, fileio, moments
+from pavelab import bounds, cli, fileio, moments, suites
 from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN_HEADER, main
+from pavelab.errors import CapacityError, ParameterError
 from pavelab.fileio import read_matrix, write_matrix
 from pavelab.sampling import Bernoulli, gen_ensemble
 
@@ -333,6 +335,187 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "DECOUPLING", "--size", "smoke")
         assert code == EXIT_VIOLATION
         assert "violation case=DECOUPLING instance_seed=0" in out
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
+class TestVerifyProcesses:
+    """`verify` runs instance i in process i mod `moments._WORKERS` (forked
+    children besides this one) and prints the same bytes at any count."""
+
+    def _each(self, capsys, monkeypatch, argv):
+        """(code, stdout, stderr) of `argv` at 1, 2 and 3 workers, checking
+        that N - 1 children are forked, all reaped, and the count restored,
+        and that this process norms on its calling thread."""
+        results = []
+        real_fork, real_start = os.fork, threading.Thread.start
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(moments, "_WORKERS", workers)
+            forks, started = [], []
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            monkeypatch.setattr(
+                threading.Thread, "start", lambda t: started.append(t) or real_start(t)
+            )
+            results.append(run(capsys, *argv))
+            monkeypatch.setattr(os, "fork", real_fork)
+            monkeypatch.setattr(threading.Thread, "start", real_start)
+            assert len(forks) == workers - 1 and started == []
+            assert moments._WORKERS == workers
+            _assert_no_children()
+        return results
+
+    def _rig(self, monkeypatch, act):
+        """cli.verify_inequality that first calls act(label, report) with the
+        instance's suite label (instances are made before any fork, so their
+        ids are the same in every process)."""
+        labels, real_instances, real_verify = {}, suites.suite_instances, cli.verify_inequality
+
+        def instances(case_id, count, master=None):
+            pool = real_instances(case_id, count, master)
+            labels.update((id(inst), label) for label, inst in pool)
+            return pool
+
+        def rigged(case_id, inst, method="exact", trials=0, seed=None):
+            rep = real_verify(case_id, inst, method=method, trials=trials, seed=seed)
+            act(labels[id(inst)], rep)
+            return rep
+
+        monkeypatch.setattr(suites, "suite_instances", instances)
+        monkeypatch.setattr(cli, "verify_inequality", rigged)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--size", "small", "--seed", "0"],
+        ["verify", "all", "--size", "small"],
+        ["verify", "all", "--size", "tiny"],
+        ["verify", "all", "--size", "smoke"],
+        ["verify", "DECOUPLING", "--size", "tiny"],
+    ])
+    def test_stdout_identical_across_worker_counts(self, capsys, monkeypatch, argv):
+        results = self._each(capsys, monkeypatch, argv)
+        assert results[0][0] == EXIT_OK and "all_hold=yes" in results[0][1]
+        assert results[0] == results[1] == results[2]
+
+    def test_violations_identical_across_worker_counts(self, capsys, monkeypatch):
+        def fail_odd(label, rep):
+            if label % 2:
+                object.__setattr__(rep, "holds", False)
+
+        self._rig(monkeypatch, fail_odd)
+        results = self._each(capsys, monkeypatch, ["verify", "all", "--size", "tiny"])
+        code, out, _ = results[0]
+        assert code == EXIT_VIOLATION
+        assert "violation case=DECOUPLING instance_seed=5" in out
+        assert "violation case=DECOUPLING instance_seed=4" not in out
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("error, code", [
+        (CapacityError("too big"), EXIT_CAPACITY),
+        (ParameterError("bad value"), EXIT_USAGE),
+        (MemoryError("no room"), EXIT_CAPACITY),
+    ])
+    def test_child_error_matches_one_process(self, capsys, monkeypatch, error, code):
+        def raise_at_5(label, rep):  # 5 falls to a child at 2 and 3 workers
+            if label == 5:
+                raise error
+
+        self._rig(monkeypatch, raise_at_5)
+        results = self._each(capsys, monkeypatch, ["verify", "DECOUPLING", "--size", "tiny"])
+        got, out, err = results[0]
+        assert got == code and err == f"error: {error}\n"
+        assert out.count("case=DECOUPLING") == 5 and "suite=" not in out
+        assert results[0] == results[1] == results[2]
+
+    def test_killed_child_exits_3(self, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_child(label, rep):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self._rig(monkeypatch, die_in_child)
+        monkeypatch.setattr(moments, "_WORKERS", 2)
+        code, _, err = run(capsys, "verify", "DECOUPLING", "--size", "tiny")
+        assert code == EXIT_CAPACITY
+        assert err.startswith("error: verify process ") and "killed by signal 9" in err
+        assert moments._WORKERS == 2
+        _assert_no_children()
+
+    def test_interrupt_in_parent_kills_child(self, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def stall_child_interrupt_parent(label, rep):
+            if os.getpid() != parent:
+                if label == 1:
+                    time.sleep(60)
+            elif label == 2:
+                raise KeyboardInterrupt
+
+        self._rig(monkeypatch, stall_child_interrupt_parent)
+        monkeypatch.setattr(moments, "_WORKERS", 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "DECOUPLING", "--size", "tiny"])
+        assert time.perf_counter() - start < 30
+        assert capsys.readouterr().out == ""
+        assert moments._WORKERS == 2
+        _assert_no_children()
+
+    def test_failed_fork_exits_3_and_reaps(self, capsys, monkeypatch):
+        forks, real_fork = [], os.fork
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(moments, "_WORKERS", 3)
+        monkeypatch.setattr(os, "fork", second_fails)
+        code, out, err = run(capsys, "verify", "MARKOV")
+        assert code == EXIT_CAPACITY and out == ""
+        assert err == "error: cannot fork a verify process: [Errno 11] Resource temporarily unavailable\n"
+        _assert_no_children()
+
+    def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
+        """A forked child would inherit the locks other threads hold."""
+        alone = run(capsys, "verify", "MARKOV")
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(moments, "_WORKERS", 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert run(capsys, "verify", "MARKOV") == alone
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and forks == []
+
+    def test_buffered_stdout_printed_once(self):
+        """Children leave by os._exit, so the lines a block-buffered stdout
+        holds when they are forked reach the pipe once, from the parent."""
+        src = os.path.dirname(os.path.dirname(pavelab.__file__))
+        script = (
+            "from pavelab import cli, moments\n"
+            "moments._WORKERS = 3\n"
+            "cli.main(['verify', 'MARKOV'])\n"
+            "cli.main(['verify', 'MARKOV'])\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(env, PYTHONPATH=src),
+            capture_output=True, check=True, timeout=120,
+        )
+        once = "".join(f"{line}\n" for line in (
+            *(cli._markov_check(d)[0] for d in range(11)),
+            "suite=MARKOV passed=11/11", "all_hold=yes",
+        ))
+        assert proc.stdout.decode() == once + once
 
 
 class TestScan:
