@@ -35,6 +35,8 @@ def step3_bound(mu: float, rho: float, n: int) -> float:
         raise ParameterError(f"bound is stated for n >= 8, got {n}")
     if mu < 0 or rho < 0:
         raise ParameterError("mu and rho must be nonnegative")
+    if rho > 1:
+        raise ParameterError(f"rho is a rate in [0, 1], got {rho}")
     ln = math.log(n)
     return 550.0 * mu * ln + 250.0 * math.sqrt(rho * ln)
 
@@ -80,6 +82,8 @@ def rudelson_bound(p: float, col_norm: float, spec_norm: float) -> float:
     """1.5 sqrt(p) ||X||_{1,2} ||X|| for Rademacher column outer-product sums."""
     if p < 0:
         raise ParameterError(f"need p >= 0, got {p}")
+    if col_norm < 0 or spec_norm < 0:
+        raise ParameterError("col_norm and spec_norm must be nonnegative")
     return 1.5 * math.sqrt(p) * col_norm * spec_norm
 
 

@@ -38,17 +38,15 @@ an exact pattern space depend on neither the rate nor p, so
 popcounts its weights need) and exact moments of one matrix share one
 enumeration per pattern space.
 
-Spread rule: the stacks of one norm call (the per-k chunks, and the SVD
-buckets of `masked_norms`) are independent.  `masked_norms`' Gram stacks and
-`pair_space_norms`' `eigvalsh` stacks (k >= 5) of at least
-`_SPREAD_MIN_BLOCKS` blocks run on `_WORKERS` threads (one per CPU the
-process may use), largest first, each to the first free thread, with a big
-stack cut into a chunk per worker; SVD stacks and smaller stacks run on the
-calling thread before any helper starts, and the pair space's closed-form
-stacks (k <= 4: many small numpy calls, which two threads would run no
-faster than one) run on it while the helpers work.  Helpers are started per
-call and joined before it returns.  Each norm depends only on its own
-block, so results are bitwise the same for any worker count.
+Spread rule: the Gram stacks of one `masked_norms` call (its per-k chunks)
+are independent.  Those of at least `_SPREAD_MIN_BLOCKS` blocks run on
+`_WORKERS` threads (one per CPU the process may use), largest first, each to
+the first free thread, with a big stack cut into a chunk per worker; smaller
+stacks, and the SVD buckets before them, run on the calling thread before
+any helper starts.  Helpers are started per call and joined before it
+returns.  `pair_space_norms` norms its chunks in a plain loop on the calling
+thread.  Each norm depends only on its own block, so results are bitwise the
+same for any worker count.
 """
 from __future__ import annotations
 
@@ -95,9 +93,10 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Threads one norm call spreads its large Gram stacks over (the calling
-# thread among them); read at call time, as `_BATCH` is.  `verify` splits
-# its instances over as many processes, setting this to 1 while they run.
+# Threads one `masked_norms` call spreads its large Gram stacks over (the
+# calling thread among them); read at call time, as `_BATCH` is.  `verify`
+# splits its instances over as many processes, setting this to 1 while they
+# run.
 _WORKERS = _cpu_count()
 # Smaller stacks stay on the calling thread: handing the GIL back and forth
 # would cost more than they do.
@@ -111,29 +110,25 @@ def _chunk_rows(r: int, c: int) -> int:
 
 def _run_stacks(stacks) -> None:
     """Call fn(*args), which norms a stack of `blocks` blocks and stores the
-    norms, for each (blocks, where, fn, args) of `stacks`, by the spread
-    rule (module docstring).  A "spread" stack of at least
-    `_SPREAD_MIN_BLOCKS` blocks is deferred to up to `_WORKERS` threads, the
-    calling one and helpers joined before this returns; a "beside" stack
-    runs on the calling thread while the helpers work; every other stack
-    runs at once, on the calling thread, before any helper starts (SVD bits
-    can depend on how OpenBLAS splits its work).  `eigvalsh` releases the
-    GIL.  The first exception raised in any thread is re-raised.
+    norms, for each (blocks, fn, args) of `stacks`, by the spread rule
+    (module docstring).  A stack of at least `_SPREAD_MIN_BLOCKS` blocks is
+    deferred to up to `_WORKERS` threads, the calling one and helpers joined
+    before this returns; every other stack runs at once, on the calling
+    thread, before any helper starts.  `eigvalsh` releases the GIL.  The
+    first exception raised in any thread is re-raised.
     """
-    deferred, beside = [], []
-    for blocks, where, fn, args in stacks:
-        if where == "spread" and blocks >= _SPREAD_MIN_BLOCKS:
+    deferred = []
+    for blocks, fn, args in stacks:
+        if blocks >= _SPREAD_MIN_BLOCKS:
             deferred.append((blocks, fn, args))
-        elif where == "beside":
-            beside.append((fn, args))
         else:
             fn(*args)
     queue = iter([(fn, args) for _, fn, args in sorted(deferred, key=lambda stack: -stack[0])])
     errors = []
 
-    def work(own=()):
+    def work():
         try:
-            for fn, args in itertools.chain(own, queue):
+            for fn, args in queue:
                 if errors:  # another thread failed: stop at the next stack
                     break
                 fn(*args)
@@ -142,11 +137,11 @@ def _run_stacks(stacks) -> None:
 
     helpers = []
     try:
-        for _ in range(min(_WORKERS, len(deferred) + bool(beside)) - 1):
+        for _ in range(min(_WORKERS, len(deferred)) - 1):
             helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
-        work(beside)
+        work()
     finally:
         for helper in helpers:
             helper.join()
@@ -224,15 +219,11 @@ _TINY_GRAM = 2.0 ** -500
 _GRAM_CHUNK = 1024
 
 
-def _gram_chunks(count: int, per: int, step: int, spread: bool) -> list:
+def _gram_chunks(count: int, per: int, step: int) -> list:
     """(start, stop) ranges that cut one Gram size's stack, `count` units of
     `per` blocks each, into chunks of at most `step` and `_GRAM_CHUNK` blocks
-    (but at least one unit), and into a share for each worker when the stack
-    is spread."""
-    step = min(step, _GRAM_CHUNK)
-    if spread:
-        step = min(step, max(_SPREAD_MIN_BLOCKS, -(-count * per // _WORKERS)))
-    step = max(1, step // per)
+    (but at least one unit)."""
+    step = max(1, min(step, _GRAM_CHUNK) // per)
     return [(start, min(start + step, count)) for start in range(0, count, step)]
 
 
@@ -274,20 +265,13 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
     pos = [None] + [(t[:, :, None] * n + t[:, None, :]).reshape(-1, k * k)
                     for k, t in enumerate(idx) if k]
 
-    def run(k: int, start: int, stop: int) -> None:
-        ids = gram_ids[k][start:stop, None]
-        lam = top_eigenvalues(grams[ids[:, 0]].take(pos[k], axis=1).reshape(-1, k, k))
-        sets = codes[k]
-        at = np.where(ids < size, ids * size + sets, sets * size + (ids - size))
-        out[at] = lam.reshape(at.shape)
-
-    stacks = []
     for k in range(1, n + 1):
-        spread = k >= 5  # `eigvalsh` stacks; the closed forms run beside them
-        per = codes[k].size
-        stacks += [((stop - start) * per, "spread" if spread else "beside", run, (k, start, stop))
-                   for start, stop in _gram_chunks(gram_ids[k].size, per, _chunk_rows(k, k), spread)]
-    _run_stacks(stacks)
+        sets = codes[k]
+        for start, stop in _gram_chunks(gram_ids[k].size, sets.size, _chunk_rows(k, k)):
+            ids = gram_ids[k][start:stop, None]
+            lam = top_eigenvalues(grams[ids[:, 0]].take(pos[k], axis=1).reshape(-1, k, k))
+            at = np.where(ids < size, ids * size + sets, sets * size + (ids - size))
+            out[at] = lam.reshape(at.shape)
     out = out.reshape(size, size)
     tiny = out < _TINY_GRAM
     tiny[0, :] = tiny[:, 0] = False
@@ -306,7 +290,9 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
     k = min(r, c) form one stack, normed in chunks of `_chunk_rows` of their
     largest block: each bucket's part of a chunk by `scaled_grams`, the whole
     chunk by one `gram_norms`.  The other buckets (the whole matrix, k > 64)
-    take `block_norms`' SVD per bucket; patterns with an empty side are 0.
+    take `block_norms`' SVD per bucket, on the calling thread before any
+    helper starts (SVD bits can depend on how OpenBLAS splits its work);
+    patterns with an empty side are 0.
     Results come back in input order.
     """
     rows = np.asarray(row_bits) != 0
@@ -325,9 +311,6 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
         ri = np.nonzero(rows[sel])[1].reshape(-1, r)
         ci = np.nonzero(cols[sel])[1].reshape(-1, c)
         return a[ri[:, :, None], ci[:, None, :]]
-
-    def run_svd(sel: np.ndarray, r: int, c: int, whole: bool) -> None:
-        out[sel] = block_norms(gather(sel, r, c), whole)
 
     def run_gram(parts: list) -> None:
         """Norm the (sel, r, c) runs of `parts`, all of one Gram size, as one stack."""
@@ -354,15 +337,16 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
         step = _chunk_rows(r, c)
         for start in range(0, bucket.size, step):
             sel = bucket[start:start + step]
-            stacks.append((sel.size, "now", run_svd, (sel, r, c, whole)))
+            out[sel] = block_norms(gather(sel, r, c), whole)
     for runs, count, rc in by_k.values():
-        for start, stop in _gram_chunks(count, 1, _chunk_rows(1, rc), True):
+        share = max(_SPREAD_MIN_BLOCKS, -(-count // _WORKERS))  # a chunk per worker
+        for start, stop in _gram_chunks(count, 1, min(_chunk_rows(1, rc), share)):
             parts, at = [], 0
             for sel, r, c in runs:
                 if start < at + sel.size and at < stop:
                     parts.append((sel[max(start - at, 0):stop - at], r, c))
                 at += sel.size
-            stacks.append((stop - start, "spread", run_gram, (parts,)))
+            stacks.append((stop - start, run_gram, (parts,)))
     _run_stacks(stacks)
     return out
 

@@ -57,6 +57,11 @@ class TestStep3Bound:
         with pytest.raises(ParameterError):
             step3_bound(0.1, 0.1, 7)
 
+    def test_rejects_rate_above_one(self):
+        assert step3_bound(0.1, 1.0, 16) > 0.0
+        with pytest.raises(ParameterError):
+            step3_bound(0.1, 1.5, 16)
+
 
 class TestKhintchineConstant:
     def test_p2_is_one(self):
@@ -118,6 +123,11 @@ class TestRudelsonBound:
         base = rudelson_bound(6, 1.3, 0.7)
         assert rudelson_bound(6, 2.6, 0.7) == pytest.approx(2 * base)
         assert rudelson_bound(6, 1.3, 1.4) == pytest.approx(2 * base)
+
+    @pytest.mark.parametrize("col_norm, spec_norm", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_rejects_negative_norms(self, col_norm, spec_norm):
+        with pytest.raises(ParameterError):
+            rudelson_bound(4, col_norm, spec_norm)
 
 
 class TestMuBound:

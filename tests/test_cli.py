@@ -481,20 +481,25 @@ class TestVerifyProcesses:
         _assert_no_children()
 
     def test_no_fork_while_another_thread_runs(self, capsys, monkeypatch):
-        """A forked child would inherit the locks other threads hold."""
-        alone = run(capsys, "verify", "MARKOV")
+        """A forked child would inherit the locks other threads hold.  The one
+        process prints the forked run's bytes, the exact pair space included
+        (DECOUPLING)."""
         forks, real_fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(moments, "_WORKERS", 2)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert run(capsys, "verify", "MARKOV") == alone
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive() and forks == []
+        for argv in (("verify", "MARKOV"), ("verify", "DECOUPLING", "--size", "tiny")):
+            forked = run(capsys, *argv)
+            assert forks == [1]
+            forks.clear()
+            release = threading.Event()
+            other = threading.Thread(target=release.wait)
+            other.start()
+            try:
+                assert run(capsys, *argv) == forked
+            finally:
+                release.set()
+                other.join(timeout=10)
+            assert not other.is_alive() and forks == []
 
     def test_buffered_stdout_printed_once(self):
         """Children leave by os._exit, so the lines a block-buffered stdout
@@ -847,6 +852,9 @@ class TestBound:
     @pytest.mark.parametrize("argv", [
         ("rudelson", "--p", "-1", "--col-norm", "1", "--spec-norm", "1"),
         ("pipeline", "--n", "1024", "--gamma", "1e308", "--m", "16"),
+        ("rudelson", "--p", "4", "--col-norm", "-1", "--spec-norm", "1"),
+        ("rudelson", "--p", "4", "--col-norm", "1", "--spec-norm", "-1"),
+        ("step3", "--mu", "0.1", "--rho", "1.5", "--n", "16"),
     ])
     def test_out_of_range_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "bound", *argv)

@@ -416,8 +416,9 @@ def _gram_buckets(rng, n, sizes):
 
 
 class TestWorkerCounts:
-    """Large Gram stacks run on up to `_WORKERS` threads with the same bits;
-    SVDs and small stacks stay on the calling thread."""
+    """Large `masked_norms` Gram stacks run on up to `_WORKERS` threads with
+    the same bits; SVDs, small stacks and the pair space stay on the calling
+    thread."""
 
     def _each(self, monkeypatch, fn, expect_threads=True):
         """fn() at 1, 2 and 3 workers; helper threads start only above 1."""
@@ -436,7 +437,8 @@ class TestWorkerCounts:
             monkeypatch, lambda: moments.exact_pattern_values(a, Bernoulli(12, 0.3))[0]
         )
         pair_matrix = rng.uniform(-1.0, 1.0, (8, 8))
-        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix))
+        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix),
+                          expect_threads=False)
         for got in (bern, pair):
             assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
@@ -481,7 +483,8 @@ class TestWorkerCounts:
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
         alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(0, len(rows), 7)]
         assert np.array_equal(got[0][::7], alone)
-        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(a[:8, :8]))
+        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(a[:8, :8]),
+                          expect_threads=False)
         assert np.array_equal(pair[0], pair[1]) and np.array_equal(pair[0], pair[2])
 
     def test_random_pave_bitwise_across_worker_counts(self, monkeypatch, rng):
@@ -532,10 +535,7 @@ class TestWorkerCounts:
         assert len(started) == 2
         assert svd_calls and set(svd_calls) == {(caller, base)}
 
-    @pytest.mark.parametrize("kernel", ["masked", "pair"])
-    def test_helper_error_reaches_the_caller_at_worker_counts_above_one(
-        self, monkeypatch, rng, kernel
-    ):
+    def test_helper_error_reaches_the_caller_at_worker_counts_above_one(self, monkeypatch, rng):
         caller, base = threading.get_ident(), threading.active_count()
         helper_failed = threading.Event()
         real = matrices.top_eigenvalues
@@ -549,15 +549,10 @@ class TestWorkerCounts:
             return real(blocks)
 
         monkeypatch.setattr(moments, "_WORKERS", 2)
-        if kernel == "masked":
-            monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
-            a = rng.uniform(-1.0, 1.0, (16, 16))
-            fn, args = masked_norms, (a, *_gram_buckets(rng, 16, [0, 0, 600, 600]))
-        else:
-            monkeypatch.setattr(moments, "top_eigenvalues", top_eigenvalues)
-            fn, args = moments.pair_space_norms, (rng.uniform(-1.0, 1.0, (8, 8)),)
+        monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
+        a = rng.uniform(-1.0, 1.0, (16, 16))
         with pytest.raises(np.linalg.LinAlgError, match="injected in a helper thread"):
-            fn(*args)
+            masked_norms(a, *_gram_buckets(rng, 16, [0, 0, 600, 600]))
         assert helper_failed.is_set()
         assert threading.active_count() == base
 
