@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import pickle
-import signal
 import sys
 import threading
 
-from . import bounds, fileio, moments, suites
+from . import bounds, fileio, forks, moments, suites
 from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
 from .inequalities import CASE_IDS, format_report, verify_inequality
 from .matrices import (
@@ -139,6 +137,8 @@ def _cmd_pave(args) -> int:
         raise ParameterError(f"m must be positive, got {args.m}")
     if args.trials < 1:
         raise ParameterError(f"need at least one trial, got {args.trials}")
+    if args.eps is not None and args.eps <= 0:
+        raise ParameterError(f"eps must be positive, got {args.eps}")
     a = fileio.read_matrix(args.input)
     if not a.is_square:
         raise ParameterError("paving needs a square matrix")
@@ -222,62 +222,28 @@ def _run_checks(checks):
     return outcomes, None
 
 
-def _fork(checks):
-    """(pid, read end of its pipe) of a child that sends the pickled
-    _run_checks(checks) down the pipe and exits 0.  The child leaves by
-    os._exit on every path, so it never flushes the buffers it inherited."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:  # a process or memory limit
-        os.close(read)
-        os.close(write)
-        raise CapacityError(f"cannot fork a verify process: {exc}") from exc
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            payload = pickle.dumps(_run_checks(checks))
-            with open(write, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _read_pipe(read: int) -> bytes:
-    with open(read, "rb", closefd=False) as pipe:
-        return pipe.read()
+def _send_checks(checks, pipe) -> None:
+    pipe.write(pickle.dumps(_run_checks(checks)))
 
 
 def _run_split(checks):
     """_run_checks(checks), with check i run by process i mod N: this one and
     N - 1 forked children, N = `moments._WORKERS` (one per CPU the process
-    may use).  Off Linux, at N = 1 or while other threads run (a forked
-    child would inherit the locks they hold) this process runs every check.
-    Each process norms on its calling thread: the processes already take
-    every CPU.  Every child is reaped before this returns or raises, and
-    killed first when this process's own checks raise."""
+    may use), when `forks.may_fork` allows; else this process runs every
+    check.  Each child pickles its outcomes down its pipe.  Each process
+    norms on its calling thread: the processes already take every CPU."""
     procs = min(moments._WORKERS, len(checks))
-    if sys.platform != "linux" or procs <= 1 or threading.active_count() > 1:
+    if not forks.may_fork(procs):
         return _run_checks(checks)
+    jobs = [functools.partial(_send_checks, checks[w::procs]) for w in range(1, procs)]
     saved, moments._WORKERS = moments._WORKERS, 1
-    children, payloads, codes = [], [], []
     try:
-        for w in range(1, procs):
-            children.append(_fork(checks[w::procs]))
-        shares = [_run_checks(checks[::procs])]
-        payloads = [_read_pipe(read) for _, read in children]
+        with forks.forked(jobs, "verify") as children:
+            shares = [_run_checks(checks[::procs])]
+            payloads = [pipe.read() for pipe in children.pipes]
     finally:
         moments._WORKERS = saved
-        for pid, read in children:
-            if len(payloads) < len(children):  # leaving on an exception
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            os.close(read)
-    for (pid, _), payload, code in zip(children, payloads, codes):
+    for pid, payload, code in zip(children.pids, payloads, children.codes):
         if code == 0:
             shares.append(pickle.loads(payload))
         else:

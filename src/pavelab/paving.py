@@ -178,7 +178,10 @@ def pad_to_multiple(a: DenseMatrix, m: int) -> DenseMatrix:
 
 
 def verify_paving(a: DenseMatrix, part: Partition, eps: float) -> PavingCheck:
-    """Check quality <= eps * ||a||; the report carries both sides."""
+    """Check quality <= eps * ||a||, for eps > 0; the report carries both
+    sides."""
+    if not eps > 0:
+        raise ParameterError(f"eps must be positive, got {eps}")
     quality = paving_quality(a, part)
     norm = spectral_norm(a)
     threshold = eps * norm

@@ -227,6 +227,19 @@ class TestPave:
         assert out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("eps", ["0", "-0", "-1"])
+    def test_nonpositive_eps_exits_2_before_reading(self, capsys, tmp_path, eps):
+        """The flag is refused before the input is read: a missing file is
+        not what the error names, and no partition is written."""
+        out_path = tmp_path / "p.txt"
+        code, out, err = run(
+            capsys, "pave", str(tmp_path / "missing.txt"), "-m", "2", "--eps", eps,
+            "--out", str(out_path),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: eps must be positive, got {float(eps)}\n"
+        assert not out_path.exists()
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a matrix\n")

@@ -2,7 +2,11 @@ import builtins
 import errno
 import itertools
 import os
+import signal
 import stat
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavelab import DenseMatrix, FormatError, Partition, PavelabError, fileio
+from pavelab import DenseMatrix, FormatError, Partition, PavelabError, fileio, moments
 from pavelab.fileio import (
     matrix_from_text,
     matrix_to_text,
@@ -24,6 +28,7 @@ from pavelab.fileio import (
 )
 
 from . import oracles
+from .test_cli import _assert_no_children
 
 
 def test_matrix_round_trip_exact(rng, tmp_path):
@@ -473,3 +478,243 @@ def test_write_to_fifo_writes_in_place(tmp_path):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+# ---------------------------------------------------------------------------
+# the split read: byte-range shares over forked processes
+# ---------------------------------------------------------------------------
+
+_SPLIT_WORKERS = [1, 2, 3]
+
+
+def _split_outcome(monkeypatch, path, workers):
+    """(read_matrix's outcome, whether the split kept its array, children
+    forked) with every file split into `workers` shares (the share size set
+    to one byte), checking that no child is left and that a kept split forked
+    workers - 1 children."""
+    forks, kept, real_fork, real_shares = [], [], os.fork, fileio._read_shares
+    monkeypatch.setattr(fileio, "_SHARE_BYTES", 1)
+    monkeypatch.setattr(moments, "_WORKERS", workers)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(
+        fileio, "_read_shares", lambda *a: kept.append(real_shares(*a)) or kept[-1]
+    )
+    try:
+        return _outcome(read_matrix, path), bool(kept) and kept[-1] is not None, len(forks)
+    finally:
+        monkeypatch.setattr(os, "fork", real_fork)
+        _assert_no_children()
+        assert len(forks) in (0, workers - 1)
+        assert not kept or kept[-1] is None or len(forks) == workers - 1
+
+
+def _assert_split_reads_like_reference(monkeypatch, path, text, workers):
+    """The file at `path` holding `text` reads like the reference parses
+    `text` with the split forced; whether the split kept its array."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcome, kept, _ = _split_outcome(monkeypatch, path, workers)
+    assert outcome == _outcome(oracles.matrix_from_text, text)
+    return kept
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the read forks on Linux only")
+class TestSplitRead:
+    """`read_matrix` with its split forced on small files: the same bits or
+    the same error as the reference parser at 1, 2 and 3 processes."""
+
+    @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
+    @pytest.mark.parametrize("text", _READER_CORPUS)
+    def test_corpus(self, text, workers, tmp_path, monkeypatch):
+        _assert_split_reads_like_reference(monkeypatch, tmp_path / "m.txt", text, workers)
+
+    @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
+    @pytest.mark.parametrize("brk", _SPLITLINES_ONLY_BREAKS + ["\r"], ids=ascii)
+    @pytest.mark.parametrize("template", [
+        "2{}2\n1 2\n3 4\n", "2 2{}\n1 2\n3 4\n", "2 2\n1{}2\n3 4\n", "2 2\n1 2{}3 4\n",
+        "2 2\n1 2{}\n3 4\n", "2 2\n1 2\n3 4{}", "3 2\n1 2\n3 4{}5 6\n",
+    ])
+    def test_line_breaks(self, template, brk, workers, tmp_path, monkeypatch):
+        _assert_split_reads_like_reference(
+            monkeypatch, tmp_path / "m.txt", template.format(brk), workers
+        )
+
+    @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
+    @pytest.mark.parametrize("bad_row", [0, 34, 66, 69])
+    @pytest.mark.parametrize("bad_line", ["0.5 x 1", "0.5 1", "", "0.5  1 2"])
+    def test_malformed_row(self, rng, tmp_path, monkeypatch, workers, bad_row, bad_line):
+        path, text = _later_chunk_file(tmp_path, rng, bad_row, bad_line)
+        outcome, _, _ = _split_outcome(monkeypatch, path, workers)
+        assert outcome == _outcome(oracles.matrix_from_text, text)
+
+    @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
+    @pytest.mark.parametrize("where", ["in a row", "past the last row"])
+    def test_non_utf8_byte(self, rng, tmp_path, monkeypatch, workers, where):
+        """A bad byte in a row, or 20 KiB past the last one, fails the read
+        as it fails the whole text's decoding."""
+        path, text = _later_chunk_file(tmp_path, rng, 68, "0.25 0.5 0.75")
+        if where == "in a row":
+            data = text.encode().replace(b"0.25 0.5 0.75", b"0.25 0.5 0.7\xff")
+        else:
+            data = text.encode() + b"0 0 0\n" * 4000 + b"\xff\n"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        outcome, _, _ = _split_outcome(monkeypatch, path, workers)
+        assert outcome == (
+            "FormatError", f"{path}: not utf-8 text (invalid start byte at byte {offset})"
+        )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_non_utf8_byte_in_a_trailing_line(self, tmp_path, monkeypatch, workers):
+        """The rows fill the array inside share 0 and no later share holds a
+        line start: the rest of share 0 is still decoded, as the whole text
+        is."""
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2\n1 2\n3 4\n\xff" + b"0" * 40 + b"\n")
+        outcome, kept, _ = _split_outcome(monkeypatch, path, workers)
+        assert outcome == ("FormatError", f"{path}: not utf-8 text (invalid start byte at byte 12)")
+        assert not kept
+
+    @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
+    def test_too_short_body(self, rng, tmp_path, monkeypatch, workers):
+        body = oracles.matrix_to_text(DenseMatrix(rng.uniform(-1, 1, (5, 2)))).split("\n", 1)[1]
+        path = tmp_path / "m.txt"
+        path.write_text("9 2\n" + body)
+        outcome, kept, _ = _split_outcome(monkeypatch, path, workers)
+        assert outcome == ("FormatError", "expected 9 rows, found 5") and not kept
+
+    @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
+    def test_well_formed_file_keeps_the_split(self, rng, tmp_path, monkeypatch, workers):
+        a = DenseMatrix(rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7)))
+        kept = _assert_split_reads_like_reference(
+            monkeypatch, tmp_path / "m.txt", oracles.matrix_to_text(a), workers
+        )
+        assert kept == (workers > 1)
+
+
+def _body_with_boundary(where):
+    """(text, offset) of a two-row file whose two-share boundary falls at a
+    line start, inside a line, or inside a multi-byte UTF-8 character."""
+    rows = {
+        "line start": ["0.25 0.5", "0.75 1.5"],
+        "inside a line": ["0.25 0.5", "0.75 1.5e0"],
+        "inside a character": ["0.25 0.5", "１.5 ٢.5"],
+    }[where]
+    text = "2 2\n" + "".join(r + "\n" for r in rows)
+    data = text.encode()
+    head = len(b"2 2\n")
+    return text, head + (len(data) - head) // 2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the read forks on Linux only")
+@pytest.mark.parametrize("where", ["line start", "inside a line", "inside a character"])
+def test_share_boundary(where, tmp_path, monkeypatch):
+    """Each line falls in exactly one share, whether the boundary lands on a
+    line start, inside a line or inside a multi-byte character, and the
+    split read gives the reference's outcome."""
+    text, boundary = _body_with_boundary(where)
+    data = text.encode()
+    second_row = data.index(b"\n", 4) + 1
+    if where == "line start":
+        assert boundary == second_row
+    else:
+        assert boundary > second_row
+        assert where != "inside a character" or data[boundary] & 0xC0 == 0x80
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        first = list(fileio._lines_between(fh, 4, boundary))
+        second = list(fileio._lines_between(fh, boundary, len(data)))
+    assert first + second == text.splitlines(keepends=True)[1:]
+    assert len(first) == (1 if where == "line start" else 2)
+    kept = _assert_split_reads_like_reference(monkeypatch, path, text, 2)
+    assert kept or where == "inside a character"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the read forks on Linux only")
+class TestSplitReadFailures:
+    """A share that cannot finish makes the read fall back to one process:
+    the same bytes, and no child left behind."""
+
+    def _file(self, rng, tmp_path):
+        a = DenseMatrix(rng.standard_normal((300, 4)))
+        path = tmp_path / "m.txt"
+        write_matrix(a, path)
+        return path, a
+
+    def _read(self, monkeypatch, path, workers, forked=None):
+        """The outcome of the forced split read, which must fall back, after
+        forking `forked` children (workers - 1 by default)."""
+        outcome, kept, forks = _split_outcome(monkeypatch, path, workers)
+        assert not kept and forks == (workers - 1 if forked is None else forked)
+        return outcome
+
+    def test_killed_child(self, rng, tmp_path, monkeypatch):
+        path, a = self._file(rng, tmp_path)
+        parent, real_fill = os.getpid(), fileio._fill
+
+        def die_in_child(lines, rows):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_fill(lines, rows)
+
+        monkeypatch.setattr(fileio, "_fill", die_in_child)
+        assert self._read(monkeypatch, path, 2) == (a.shape, a.data.tobytes())
+
+    def test_failed_second_fork(self, rng, tmp_path, monkeypatch):
+        path, a = self._file(rng, tmp_path)
+        calls, real_fork = [], os.fork
+
+        def second_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert self._read(monkeypatch, path, 3) == (a.shape, a.data.tobytes())
+        assert len(calls) == 2
+
+    def test_no_fork_while_another_thread_runs(self, rng, tmp_path, monkeypatch):
+        path, a = self._file(rng, tmp_path)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert self._read(monkeypatch, path, 3, forked=0) == (a.shape, a.data.tobytes())
+        finally:
+            release.set()
+            other.join(timeout=10)
+
+    def test_unclean_own_share_kills_children(self, rng, tmp_path, monkeypatch):
+        """The one-process read starts as soon as this process's share fails,
+        without waiting for the children."""
+        path, a = self._file(rng, tmp_path)
+        parent, real_fill = os.getpid(), fileio._fill
+        calls = []
+
+        def stall_child_fail_parent(lines, rows):
+            if os.getpid() != parent:
+                time.sleep(60)
+            calls.append(1)
+            return None if len(calls) == 1 else real_fill(lines, rows)
+
+        monkeypatch.setattr(fileio, "_fill", stall_child_fail_parent)
+        start = time.perf_counter()
+        assert self._read(monkeypatch, path, 3) == (a.shape, a.data.tobytes())
+        assert time.perf_counter() - start < 30
+
+    def test_interrupt_in_own_share_kills_children(self, rng, tmp_path, monkeypatch):
+        path, _ = self._file(rng, tmp_path)
+        parent = os.getpid()
+
+        def stall_child_interrupt_parent(lines, rows):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fileio, "_fill", stall_child_interrupt_parent)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _split_outcome(monkeypatch, path, 3)
+        assert time.perf_counter() - start < 30

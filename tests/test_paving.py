@@ -236,6 +236,12 @@ class TestVerifyPaving:
         eps = res.quality / spectral_norm(a) + 1e-9
         assert verify_paving(a, res.partition, eps).holds
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0, -1.0, float("nan")])
+    def test_nonpositive_eps_raises(self, rng, eps):
+        a = DenseMatrix(rng.uniform(-1, 1, (4, 4)))
+        with pytest.raises(ParameterError, match="eps must be positive"):
+            verify_paving(a, Partition.single_block(4), eps)
+
     def test_report_carries_both_sides(self, rng):
         a = DenseMatrix(rng.uniform(-1, 1, (4, 4)))
         check = verify_paving(a, Partition.single_block(4), 0.5)
