@@ -15,19 +15,20 @@ import pickle
 import sys
 import threading
 
-from . import bounds, fileio, forks, moments, suites
+from . import bounds, fileio, forks, suites
 from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
 from .inequalities import CASE_IDS, format_report, verify_inequality
 from .matrices import (
     UNIT_NORM_TOL,
     DenseMatrix,
     Partition,
+    gram_kernel,
     max_abs_entry,
     paving_quality,
     spectral_norm,
 )
 from .moments import EXACT_BERNOULLI_MAX_N, moment
-from .paving import pad_to_multiple, random_pave
+from .paving import pad_to_multiple, random_pave, random_pave_share
 from .polynomials import (
     check_markov,
     check_polynomial_sandwich,
@@ -132,6 +133,31 @@ def _restrict_partition(part: Partition, n: int) -> Partition:
     return Partition.from_blocks(n, blocks)
 
 
+# A paving search of at least this many blocks (trials times m) splits its
+# trials over processes; at 256 blocks of 8 x 8 the split and one process
+# take about the same time.
+_PAVE_SPLIT_MIN_BLOCKS = 256
+
+
+def _pave(a: DenseMatrix, m: int, trials: int, seed):
+    """random_pave(a, m, trials, seed), with trial t scored by process
+    t mod N (N = `forks.CPUS`, at most `trials`) through `_run_split`, when
+    the search holds at least `_PAVE_SPLIT_MIN_BLOCKS` blocks of the Gram
+    kernel.  The least (quality, trial index) over the shares is the serial
+    first minimum.  SVD blocks (k > 64) stay in one process: forked beside
+    inherited BLAS threads they would oversubscribe the CPUs."""
+    k = a.n_rows // m
+    procs = min(forks.CPUS, trials)
+    if procs < 2 or trials * m < _PAVE_SPLIT_MIN_BLOCKS or not gram_kernel(k, k, m == 1):
+        return random_pave(a, m, trials, seed)
+    shares = [functools.partial(random_pave_share, a, m, trials, seed, j, procs)
+              for j in range(procs)]
+    results, error = _run_split(shares, "pave")
+    if error is not None:
+        raise error
+    return min(results, key=lambda res: (res.quality, res.best_trial_index))
+
+
 def _cmd_pave(args) -> int:
     if args.m <= 0:
         raise ParameterError(f"m must be positive, got {args.m}")
@@ -148,7 +174,7 @@ def _cmd_pave(args) -> int:
     padded = pad_to_multiple(a, args.m)
     if padded.n_rows != n:
         print(f"warning: padded {n} -> {padded.n_rows} so that m={args.m} divides n")
-    result = random_pave(padded, args.m, args.trials, seed)
+    result = _pave(padded, args.m, args.trials, seed)
     part = _restrict_partition(result.partition, n)
     quality = paving_quality(a, part)
     print(f"n={n} m={args.m} trials={args.trials} seed={seed.master}")
@@ -226,29 +252,26 @@ def _send_checks(checks, pipe) -> None:
     pipe.write(pickle.dumps(_run_checks(checks)))
 
 
-def _run_split(checks):
+def _run_split(checks, what: str):
     """_run_checks(checks), with check i run by process i mod N: this one and
-    N - 1 forked children, N = `moments._WORKERS` (one per CPU the process
-    may use), when `forks.may_fork` allows; else this process runs every
-    check.  Each child pickles its outcomes down its pipe.  Each process
-    norms on its calling thread: the processes already take every CPU."""
-    procs = min(moments._WORKERS, len(checks))
+    N - 1 forked children, N = `forks.CPUS` (one per CPU the process may
+    use), when `forks.may_fork` allows; else this process runs every check.
+    Each child pickles its outcomes down its pipe; one that dies without
+    them gives a MemoryError naming the `what` process.  Every process norms
+    on its calling thread."""
+    procs = min(forks.CPUS, len(checks))
     if not forks.may_fork(procs):
         return _run_checks(checks)
     jobs = [functools.partial(_send_checks, checks[w::procs]) for w in range(1, procs)]
-    saved, moments._WORKERS = moments._WORKERS, 1
-    try:
-        with forks.forked(jobs, "verify") as children:
-            shares = [_run_checks(checks[::procs])]
-            payloads = [pipe.read() for pipe in children.pipes]
-    finally:
-        moments._WORKERS = saved
+    with forks.forked(jobs, what) as children:
+        shares = [_run_checks(checks[::procs])]
+        payloads = [pipe.read() for pipe in children.pipes]
     for pid, payload, code in zip(children.pids, payloads, children.codes):
         if code == 0:
             shares.append(pickle.loads(payload))
         else:
             how = f"killed by signal {-code}" if code < 0 else f"exited {code}"
-            shares.append(([], MemoryError(f"verify process {pid} {how} without a result")))
+            shares.append(([], MemoryError(f"{what} process {pid} {how} without a result")))
     outcomes = []
     for i in range(len(checks)):
         done, error = shares[i % procs]
@@ -276,7 +299,7 @@ def _cmd_verify(args) -> int:
         else:
             items = _case_items(case_id, args.size, master)
         cases.append((case_id, items))
-    outcomes, error = _run_split([check for _, items in cases for _, check in items])
+    outcomes, error = _run_split([check for _, items in cases for _, check in items], "verify")
     outcomes = iter(outcomes)
     all_failures = []
     for case_id, items in cases:

@@ -46,7 +46,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from . import forks, moments
+from . import forks
 from .errors import CapacityError, FormatError
 from .matrices import DenseMatrix, Partition
 
@@ -214,7 +214,7 @@ def _read_shares(fd: int, encoding: str, size: int) -> np.ndarray | None:
     the one-process read must decide.
 
     The body after the header is cut into N shares of equal byte size: one,
-    plus one per full `_SHARE_BYTES` of file, at most `moments._WORKERS`,
+    plus one per full `_SHARE_BYTES` of file, at most `forks.CPUS`,
     and only where `forks.may_fork(N)` allows and the text is UTF-8.  Share
     w holds the lines that begin in its byte range.  This process parses
     share 0 straight into the array; each child parses one other share and
@@ -222,7 +222,7 @@ def _read_shares(fd: int, encoding: str, size: int) -> np.ndarray | None:
     every share is clean and the rows add up to exactly n_rows; anything
     else (a bad or split line, a trailing row, a refused fork, a child
     killed before it sent all its rows) gives None."""
-    shares = min(moments._WORKERS, 1 + size // _SHARE_BYTES)
+    shares = min(forks.CPUS, 1 + size // _SHARE_BYTES)
     if not forks.may_fork(shares) or codecs.lookup(encoding).name != "utf-8":
         return None
     try:

@@ -1,11 +1,12 @@
 """Forked child processes, one pipe each: the one fork helper of the package.
 
-`verify` splits its suite instances over such children, and
-`fileio.read_matrix` the rows of a large matrix file.  A child runs one job
-on the write end of its own pipe and leaves by `os._exit` on every path, so
-it never flushes the buffers or runs the exit handlers it inherited.  The
-parent reads the pipes while the block runs; on leaving, every child is
-reaped, and killed first when the block raises.
+`verify` splits its suite instances over such children, `pave` its paving
+trials, and `fileio.read_matrix` the rows of a large matrix file, each over
+at most `CPUS` processes.  A child runs one job on the write end of its own
+pipe and leaves by `os._exit` on every path, so it never flushes the
+buffers or runs the exit handlers it inherited.  The parent reads the pipes
+while the block runs; on leaving, every child is reaped, and killed first
+when the block raises.
 """
 from __future__ import annotations
 
@@ -17,6 +18,13 @@ import threading
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import CapacityError
+
+# Processes one split may use, this one among them: one per CPU the process
+# may use.  Read at call time, so that a caller (or a test) may change it.
+try:
+    CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    CPUS = os.cpu_count() or 1
 
 
 def may_fork(procs: int) -> bool:

@@ -36,24 +36,14 @@ through `masked_norms`.  The pair kernel and the subset traces of
 an exact pattern space depend on neither the rate nor p, so
 `exact_pattern_values` keeps the last matrix's norms (with the mask
 popcounts its weights need) and exact moments of one matrix share one
-enumeration per pattern space.
-
-Spread rule: the Gram stacks of one `masked_norms` call (its per-k chunks)
-are independent.  Those of at least `_SPREAD_MIN_BLOCKS` blocks run on
-`_WORKERS` threads (one per CPU the process may use), largest first, each to
-the first free thread, with a big stack cut into a chunk per worker; smaller
-stacks, and the SVD buckets before them, run on the calling thread before
-any helper starts.  Helpers are started per call and joined before it
-returns.  `pair_space_norms` norms its chunks in a plain loop on the calling
-thread.  Each norm depends only on its own block, so results are bitwise the
-same for any worker count.
+enumeration per pattern space.  Every kernel call runs on the calling
+thread, and each norm depends only on its own block, so results are the
+same bits at any chunk size and whatever process computes them.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,67 +76,9 @@ EXACT_UNIFORMK_MAX_PATTERNS = 10 ** 6
 EXACT_MASK_MAX_BYTES = 1 << 28  # the float64 mask rows of an exact space: 256 MiB
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Threads one `masked_norms` call spreads its large Gram stacks over (the
-# calling thread among them); read at call time, as `_BATCH` is.  `verify`
-# splits its instances over as many processes, setting this to 1 while they
-# run.
-_WORKERS = _cpu_count()
-# Smaller stacks stay on the calling thread: handing the GIL back and forth
-# would cost more than they do.
-_SPREAD_MIN_BLOCKS = 256
-
-
 def _chunk_rows(r: int, c: int) -> int:
-    # cap the temporary stacks of all workers together at ~32 MB of float64
-    return max(1, min(_BATCH, (1 << 22) // _WORKERS // max(1, r * c)))
-
-
-def _run_stacks(stacks) -> None:
-    """Call fn(*args), which norms a stack of `blocks` blocks and stores the
-    norms, for each (blocks, fn, args) of `stacks`, by the spread rule
-    (module docstring).  A stack of at least `_SPREAD_MIN_BLOCKS` blocks is
-    deferred to up to `_WORKERS` threads, the calling one and helpers joined
-    before this returns; every other stack runs at once, on the calling
-    thread, before any helper starts.  `eigvalsh` releases the GIL.  The
-    first exception raised in any thread is re-raised.
-    """
-    deferred = []
-    for blocks, fn, args in stacks:
-        if blocks >= _SPREAD_MIN_BLOCKS:
-            deferred.append((blocks, fn, args))
-        else:
-            fn(*args)
-    queue = iter([(fn, args) for _, fn, args in sorted(deferred, key=lambda stack: -stack[0])])
-    errors = []
-
-    def work():
-        try:
-            for fn, args in queue:
-                if errors:  # another thread failed: stop at the next stack
-                    break
-                fn(*args)
-        except BaseException as exc:
-            errors.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(min(_WORKERS, len(deferred)) - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    # cap the temporary stacks at ~32 MB of float64
+    return max(1, min(_BATCH, (1 << 22) // max(1, r * c)))
 
 
 @dataclass(frozen=True)
@@ -290,10 +222,9 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
     k = min(r, c) form one stack, normed in chunks of `_chunk_rows` of their
     largest block: each bucket's part of a chunk by `scaled_grams`, the whole
     chunk by one `gram_norms`.  The other buckets (the whole matrix, k > 64)
-    take `block_norms`' SVD per bucket, on the calling thread before any
-    helper starts (SVD bits can depend on how OpenBLAS splits its work);
-    patterns with an empty side are 0.
-    Results come back in input order.
+    take `block_norms`' SVD per bucket; patterns with an empty side are 0.
+    Every chunk is normed on the calling thread.  Results come back in input
+    order.
     """
     rows = np.asarray(row_bits) != 0
     cols = np.asarray(col_bits) != 0
@@ -312,17 +243,7 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
         ci = np.nonzero(cols[sel])[1].reshape(-1, c)
         return a[ri[:, :, None], ci[:, None, :]]
 
-    def run_gram(parts: list) -> None:
-        """Norm the (sel, r, c) runs of `parts`, all of one Gram size, as one stack."""
-        if len(parts) == 1:
-            sel = parts[0][0]
-            grams, shifts = scaled_grams(gather(*parts[0]))
-        else:
-            sel = np.concatenate([part[0] for part in parts])
-            grams, shifts = map(np.concatenate, zip(*(scaled_grams(gather(*part)) for part in parts)))
-        out[sel] = gram_norms(grams, shifts)
-
-    stacks, by_k = [], {}
+    by_k = {}
     for bucket in np.split(order, starts[1:]):
         r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
         if r == 0 or c == 0:
@@ -339,15 +260,19 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
             sel = bucket[start:start + step]
             out[sel] = block_norms(gather(sel, r, c), whole)
     for runs, count, rc in by_k.values():
-        share = max(_SPREAD_MIN_BLOCKS, -(-count // _WORKERS))  # a chunk per worker
-        for start, stop in _gram_chunks(count, 1, min(_chunk_rows(1, rc), share)):
-            parts, at = [], 0
+        for start, stop in _gram_chunks(count, 1, _chunk_rows(1, rc)):
+            parts, at = [], 0  # the (sel, r, c) runs of this chunk
             for sel, r, c in runs:
                 if start < at + sel.size and at < stop:
                     parts.append((sel[max(start - at, 0):stop - at], r, c))
                 at += sel.size
-            stacks.append((stop - start, run_gram, (parts,)))
-    _run_stacks(stacks)
+            if len(parts) == 1:
+                sel = parts[0][0]
+                grams, shifts = scaled_grams(gather(*parts[0]))
+            else:
+                sel = np.concatenate([part[0] for part in parts])
+                grams, shifts = map(np.concatenate, zip(*(scaled_grams(gather(*part)) for part in parts)))
+            out[sel] = gram_norms(grams, shifts)
     return out
 
 

@@ -7,10 +7,11 @@ label rows into bool block masks in one step, norms them with one
 block norm.  The randomized engine keeps the best of `trials`
 permutation-induced balanced partitions (existence-by-expectation made
 constructive), drawn by `sampling.permutation_labels` and scored in rounds
-against the running best.  The exhaustive engine enumerates the whole
-partition class at small n with one generator of restricted-growth label
-rows, `_partition_labels`, and is the oracle the randomized path is tested
-against.
+against the running best; `random_pave_share` scores every shares-th trial
+of the same draws, so that processes can split one search.  The exhaustive
+engine enumerates the whole partition class at small n with one generator
+of restricted-growth label rows, `_partition_labels`, and is the oracle the
+randomized path is tested against.
 """
 from __future__ import annotations
 
@@ -50,22 +51,29 @@ class PavingCheck:
         return self.holds
 
 
-def _search(a: np.ndarray, m: int, rounds, seed: Seed | None) -> PavingResult:
-    """First minimum-quality partition over `rounds` of label rows.
+def _search(a: np.ndarray, m: int, rounds, seed: Seed | None,
+            share: int = 0, shares: int = 1) -> PavingResult:
+    """First minimum-quality partition over `rounds` of label rows, among
+    the trials t = share (mod shares), t counting the rows of every round.
 
     Each round is a (trials, n) array giving every coordinate's block in
     0..m-1; its rows become m bool masks each in one step and are normed by
     one `masked_norms` call.  Each block norm depends only on its own block,
-    so the result does not depend on how the trials are split into rounds.
+    so the result does not depend on how the trials are split into rounds or
+    shares: the least (quality, best_trial_index) over the shares of one
+    search is the search with one share.  A share needs at least one trial.
     """
     best = quality = index = None
     used = 0
     for labels in rounds:
-        masks = (labels[:, None, :] == np.arange(m)[:, None]).reshape(-1, labels.shape[1])
-        qualities = masked_norms(a, masks, masks).reshape(-1, m).max(axis=1)
-        i = int(np.argmin(qualities))
-        if quality is None or qualities[i] < quality:
-            best, quality, index = labels[i], float(qualities[i]), used + i
+        first = (share - used) % shares
+        mine = labels[first::shares]
+        if len(mine):
+            masks = (mine[:, None, :] == np.arange(m)[:, None]).reshape(-1, mine.shape[1])
+            qualities = masked_norms(a, masks, masks).reshape(-1, m).max(axis=1)
+            i = int(np.argmin(qualities))
+            if quality is None or qualities[i] < quality:
+                best, quality, index = mine[i], float(qualities[i]), used + first + i * shares
         used += len(labels)
     return PavingResult(Partition.from_labels(best), quality, used, index, seed)
 
@@ -78,6 +86,15 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
     to the first trial achieving the minimum.  Trials are drawn and scored
     in rounds of max(1, moments._BATCH // m), which bounds memory in `trials`.
     """
+    return random_pave_share(a, m, trials, seed, 0, 1)
+
+
+def random_pave_share(a: DenseMatrix, m: int, trials: int, seed: Seed,
+                      share: int, shares: int) -> PavingResult:
+    """`random_pave` over the trials t = share (mod shares) alone, for
+    1 <= shares <= trials: every share draws all the rounds, and scores its
+    own rows.  The least (quality, best_trial_index) over shares 0..shares-1
+    is `random_pave`'s result."""
     if not a.is_square:
         raise ParameterError("paving needs a square matrix")
     n = a.n_rows
@@ -93,7 +110,7 @@ def random_pave(a: DenseMatrix, m: int, trials: int, seed: Seed) -> PavingResult
         permutation_labels(rng, min(step, trials - start), n, m)
         for start in range(0, trials, step)
     )
-    return _search(a.data, m, rounds, seed)
+    return _search(a.data, m, rounds, seed, share, shares)
 
 
 def _partition_labels(n: int, m: int, size: int | None):

@@ -357,17 +357,17 @@ def _assert_no_children():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="verify forks on Linux only")
 class TestVerifyProcesses:
-    """`verify` runs instance i in process i mod `moments._WORKERS` (forked
+    """`verify` runs instance i in process i mod `forks.CPUS` (forked
     children besides this one) and prints the same bytes at any count."""
 
     def _each(self, capsys, monkeypatch, argv):
         """(code, stdout, stderr) of `argv` at 1, 2 and 3 workers, checking
-        that N - 1 children are forked, all reaped, and the count restored,
-        and that this process norms on its calling thread."""
+        that N - 1 children are forked and all reaped, and that this process
+        norms on its calling thread."""
         results = []
         real_fork, real_start = os.fork, threading.Thread.start
         for workers in (1, 2, 3):
-            monkeypatch.setattr(moments, "_WORKERS", workers)
+            monkeypatch.setattr(cli.forks, "CPUS", workers)
             forks, started = [], []
             monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
             monkeypatch.setattr(
@@ -377,7 +377,6 @@ class TestVerifyProcesses:
             monkeypatch.setattr(os, "fork", real_fork)
             monkeypatch.setattr(threading.Thread, "start", real_start)
             assert len(forks) == workers - 1 and started == []
-            assert moments._WORKERS == workers
             _assert_no_children()
         return results
 
@@ -450,11 +449,10 @@ class TestVerifyProcesses:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         self._rig(monkeypatch, die_in_child)
-        monkeypatch.setattr(moments, "_WORKERS", 2)
+        monkeypatch.setattr(cli.forks, "CPUS", 2)
         code, _, err = run(capsys, "verify", "DECOUPLING", "--size", "tiny")
         assert code == EXIT_CAPACITY
         assert err.startswith("error: verify process ") and "killed by signal 9" in err
-        assert moments._WORKERS == 2
         _assert_no_children()
 
     def test_interrupt_in_parent_kills_child(self, capsys, monkeypatch):
@@ -468,13 +466,12 @@ class TestVerifyProcesses:
                 raise KeyboardInterrupt
 
         self._rig(monkeypatch, stall_child_interrupt_parent)
-        monkeypatch.setattr(moments, "_WORKERS", 2)
+        monkeypatch.setattr(cli.forks, "CPUS", 2)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "DECOUPLING", "--size", "tiny"])
         assert time.perf_counter() - start < 30
         assert capsys.readouterr().out == ""
-        assert moments._WORKERS == 2
         _assert_no_children()
 
     def test_failed_fork_exits_3_and_reaps(self, capsys, monkeypatch):
@@ -486,7 +483,7 @@ class TestVerifyProcesses:
                 raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
             return real_fork()
 
-        monkeypatch.setattr(moments, "_WORKERS", 3)
+        monkeypatch.setattr(cli.forks, "CPUS", 3)
         monkeypatch.setattr(os, "fork", second_fails)
         code, out, err = run(capsys, "verify", "MARKOV")
         assert code == EXIT_CAPACITY and out == ""
@@ -499,7 +496,7 @@ class TestVerifyProcesses:
         (DECOUPLING)."""
         forks, real_fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        monkeypatch.setattr(moments, "_WORKERS", 2)
+        monkeypatch.setattr(cli.forks, "CPUS", 2)
         for argv in (("verify", "MARKOV"), ("verify", "DECOUPLING", "--size", "tiny")):
             forked = run(capsys, *argv)
             assert forks == [1]
@@ -519,8 +516,8 @@ class TestVerifyProcesses:
         holds when they are forked reach the pipe once, from the parent."""
         src = os.path.dirname(os.path.dirname(pavelab.__file__))
         script = (
-            "from pavelab import cli, moments\n"
-            "moments._WORKERS = 3\n"
+            "from pavelab import cli, forks\n"
+            "forks.CPUS = 3\n"
             "cli.main(['verify', 'MARKOV'])\n"
             "cli.main(['verify', 'MARKOV'])\n"
         )
@@ -534,6 +531,79 @@ class TestVerifyProcesses:
             "suite=MARKOV passed=11/11", "all_hold=yes",
         ))
         assert proc.stdout.decode() == once + once
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="pave forks on Linux only")
+class TestPaveProcesses:
+    """`pave` scores trial t in process t mod `forks.CPUS` (forked children
+    besides this one) from 256 Gram blocks a search (trials times m,
+    k <= 64), and prints and writes the same bytes at any count."""
+
+    def _each(self, capsys, monkeypatch, tmp_path, argv, split=True):
+        """(code, stdout, stderr, partition file bytes) of `pave argv` at 1,
+        2 and 3 workers, checking that N - 1 children are forked (none unless
+        `split`) and all reaped, and that no thread starts."""
+        results = []
+        out = tmp_path / "part.txt"
+        real_fork, real_start = os.fork, threading.Thread.start
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cli.forks, "CPUS", workers)
+            forks, started = [], []
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            monkeypatch.setattr(
+                threading.Thread, "start", lambda t: started.append(t) or real_start(t)
+            )
+            results.append((*run(capsys, "pave", *argv, "--out", str(out)), out.read_bytes()))
+            monkeypatch.setattr(os, "fork", real_fork)
+            monkeypatch.setattr(threading.Thread, "start", real_start)
+            assert len(forks) == (workers - 1 if split else 0) and started == []
+            _assert_no_children()
+        return results
+
+    @pytest.mark.parametrize("kind, seed, best", [("identity", "0", 0), ("sign", "1", 25)])
+    def test_pave_bitwise_across_worker_counts(self, capsys, monkeypatch, tmp_path, kind, seed, best):
+        """40 trials of m = 8 at n = 64: 320 blocks of 8 x 8.  On the
+        identity every trial ties and trial 0 wins; the sign matrix's best
+        trial 25 lies in share 1 at 2 and at 3 processes."""
+        src = tmp_path / "a.txt"
+        a = DenseMatrix.identity(64) if kind == "identity" else gen_ensemble("sign_normalized", 64, Seed(6))
+        write_matrix(a, src)
+        results = self._each(capsys, monkeypatch, tmp_path,
+                             [str(src), "-m", "8", "--trials", "40", "--seed", seed])
+        assert results[0][0] == EXIT_OK and f"\nbest_trial={best}\n" in results[0][1]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n, m, trials", [(64, 8, 31), (130, 2, 200)])
+    def test_one_process_below_the_split_at_any_worker_counts(
+        self, capsys, monkeypatch, tmp_path, n, m, trials
+    ):
+        """31 trials of m = 8 are 248 blocks, under the split's 256; blocks of
+        65 x 65 take the SVD, which stays in one process."""
+        src = tmp_path / "a.txt"
+        write_matrix(gen_ensemble("sign_normalized", n, Seed(3)), src)
+        results = self._each(capsys, monkeypatch, tmp_path,
+                             [str(src), "-m", str(m), "--trials", str(trials)], split=False)
+        assert results[0][0] == EXIT_OK
+        assert results[0] == results[1] == results[2]
+
+    def test_killed_share_child_exits_3(self, capsys, monkeypatch, tmp_path):
+        parent, real = os.getpid(), cli.random_pave_share
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "random_pave_share", die_in_child)
+        monkeypatch.setattr(cli.forks, "CPUS", 2)
+        src, out = tmp_path / "a.txt", tmp_path / "part.txt"
+        write_matrix(DenseMatrix.identity(64), src)
+        code, stdout, err = run(capsys, "pave", str(src), "-m", "8", "--trials", "40",
+                                "--out", str(out))
+        assert code == EXIT_CAPACITY and stdout == ""
+        assert err.startswith("error: pave process ") and "killed by signal 9" in err
+        assert not out.exists()
+        _assert_no_children()
 
 
 class TestScan:

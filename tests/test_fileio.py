@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavelab import DenseMatrix, FormatError, Partition, PavelabError, fileio, moments
+from pavelab import DenseMatrix, FormatError, Partition, PavelabError, fileio
 from pavelab.fileio import (
     matrix_from_text,
     matrix_to_text,
@@ -494,7 +494,7 @@ def _split_outcome(monkeypatch, path, workers):
     workers - 1 children."""
     forks, kept, real_fork, real_shares = [], [], os.fork, fileio._read_shares
     monkeypatch.setattr(fileio, "_SHARE_BYTES", 1)
-    monkeypatch.setattr(moments, "_WORKERS", workers)
+    monkeypatch.setattr(fileio.forks, "CPUS", workers)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     monkeypatch.setattr(
         fileio, "_read_shares", lambda *a: kept.append(real_shares(*a)) or kept[-1]

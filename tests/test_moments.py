@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -23,8 +22,9 @@ from pavelab import (
     spectral_norm,
 )
 
-from pavelab import matrices, moments, random_pave
+from pavelab import forks, matrices, moments, random_pave
 from pavelab.moments import masked_norms, weighted_moment_stats
+from pavelab.paving import random_pave_share
 
 from .conftest import square_matrices
 from .oracles import brute_force_pair_moment, brute_force_sign_moment, jacobi_spectral_norm
@@ -416,19 +416,19 @@ def _gram_buckets(rng, n, sizes):
 
 
 class TestWorkerCounts:
-    """Large `masked_norms` Gram stacks run on up to `_WORKERS` threads with
-    the same bits; SVDs, small stacks and the pair space stay on the calling
-    thread."""
+    """`masked_norms`, the pair space and `random_pave` norm on the calling
+    thread at any `forks.CPUS`, with the same bits; a paving search split
+    into process shares gives the serial result."""
 
-    def _each(self, monkeypatch, fn, expect_threads=True):
-        """fn() at 1, 2 and 3 workers; helper threads start only above 1."""
+    def _each(self, monkeypatch, fn):
+        """fn() at 1, 2 and 3 CPUs; no thread starts at any of them."""
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(moments, "_WORKERS", workers)
+            monkeypatch.setattr(forks, "CPUS", workers)
             monkeypatch.setattr(moments, "_last_norms", None)
             started = _started_threads(monkeypatch)
             results.append(fn())
-            assert bool(started) == (expect_threads and workers > 1)
+            assert started == []
         return results
 
     def test_exact_spaces_bitwise_across_worker_counts(self, monkeypatch, rng):
@@ -437,12 +437,13 @@ class TestWorkerCounts:
             monkeypatch, lambda: moments.exact_pattern_values(a, Bernoulli(12, 0.3))[0]
         )
         pair_matrix = rng.uniform(-1.0, 1.0, (8, 8))
-        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix),
-                          expect_threads=False)
+        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix))
         for got in (bern, pair):
             assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
 
     def test_masked_norms_bitwise_across_worker_counts(self, monkeypatch, rng):
+        """1,920 Gram blocks, stacks of 700 and 900 among them, and no
+        thread starts."""
         a = rng.uniform(-1.0, 1.0, (16, 16))
         rows, cols = _gram_buckets(rng, 16, [300, 700, 20, 900])
         got = self._each(monkeypatch, lambda: masked_norms(a, rows, cols))
@@ -452,7 +453,8 @@ class TestWorkerCounts:
     def test_closed_form_stacks_bitwise_across_worker_counts(self, monkeypatch, rng, kind):
         """Buckets of 3 x c and r x 3 patterns, 300 each: every Gram is 3 x 3.
         A +-1 matrix has integer Grams, many of them with a double top
-        eigenvalue, so fallback blocks sit among closed-form ones."""
+        eigenvalue, so fallback blocks sit among closed-form ones, and each
+        block of the stack has the bits it has alone."""
         n = 12
         a = rng.uniform(-1.0, 1.0, (n, n)) if kind == "uniform" else rng.choice([-1.0, 1.0], (n, n))
         shapes = [(3, c) for c in range(3, 9)] + [(r, 3) for r in range(4, 9)]
@@ -483,34 +485,26 @@ class TestWorkerCounts:
         assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], got[2])
         alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(0, len(rows), 7)]
         assert np.array_equal(got[0][::7], alone)
-        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(a[:8, :8]),
-                          expect_threads=False)
+        pair = self._each(monkeypatch, lambda: moments.pair_space_norms(a[:8, :8]))
         assert np.array_equal(pair[0], pair[1]) and np.array_equal(pair[0], pair[2])
 
     def test_random_pave_bitwise_across_worker_counts(self, monkeypatch, rng):
+        """2,000 trials in one round of 1,024 and one of 976: the least
+        (quality, trial index) over 2 or 3 shares is the one-share search,
+        and each share's best trial is its own."""
         a = DenseMatrix(rng.uniform(-1.0, 1.0, (64, 64)))
-        got = self._each(monkeypatch, lambda: random_pave(a, 8, 2000, Seed(4)))
-        keys = [(res.quality, res.best_trial_index, res.partition) for res in got]
-        assert keys[0] == keys[1] == keys[2]
-
-    def test_no_lost_stack_at_four_worker_counts_with_fast_switching(self, monkeypatch, rng):
-        """More workers than this machine may have cores, switching threads
-        every microsecond: every stack is normed once into its own slots."""
-        a = rng.uniform(-1.0, 1.0, (16, 16))
-        rows, cols = _gram_buckets(rng, 16, [300, 900, 600, 1200, 300])
-        want = masked_norms(a, rows, cols)
-        monkeypatch.setattr(moments, "_WORKERS", 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert np.array_equal(masked_norms(a, rows, cols), want)
-        finally:
-            sys.setswitchinterval(interval)
+        want = random_pave(a, 8, 2000, Seed(4))
+        assert want.trials_used == 2000
+        for shares in (1, 2, 3):
+            got = [random_pave_share(a, 8, 2000, Seed(4), j, shares) for j in range(shares)]
+            assert [res.best_trial_index % shares for res in got] == list(range(shares))
+            best = min(got, key=lambda res: (res.quality, res.best_trial_index))
+            assert best == want
+        assert self._each(monkeypatch, lambda: random_pave(a, 8, 2000, Seed(4))) == [want] * 3
 
     def test_svd_stays_on_the_calling_thread_at_worker_counts_above_one(self, monkeypatch, rng):
         """Whole-matrix and k = 65 buckets of 300 patterns each beside large
-        Gram stacks at 3 workers."""
+        Gram stacks at 3 CPUs."""
         n = 70
         a = rng.uniform(-1.0, 1.0, (n, n))
         gram_rows, gram_cols = _gram_buckets(rng, n, [0, 0, 0, 600, 500])
@@ -529,42 +523,19 @@ class TestWorkerCounts:
             return real_svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(moments, "_WORKERS", 3)
+        monkeypatch.setattr(forks, "CPUS", 3)
         started = _started_threads(monkeypatch)
         assert np.array_equal(masked_norms(a, rows, cols), want)
-        assert len(started) == 2
+        assert started == []
         assert svd_calls and set(svd_calls) == {(caller, base)}
-
-    def test_helper_error_reaches_the_caller_at_worker_counts_above_one(self, monkeypatch, rng):
-        caller, base = threading.get_ident(), threading.active_count()
-        helper_failed = threading.Event()
-        real = matrices.top_eigenvalues
-
-        def top_eigenvalues(blocks):
-            if threading.get_ident() != caller:
-                helper_failed.set()
-                raise np.linalg.LinAlgError("injected in a helper thread")
-            if threading.active_count() > base:  # let a helper take a stack
-                helper_failed.wait(10.0)
-            return real(blocks)
-
-        monkeypatch.setattr(moments, "_WORKERS", 2)
-        monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
-        a = rng.uniform(-1.0, 1.0, (16, 16))
-        with pytest.raises(np.linalg.LinAlgError, match="injected in a helper thread"):
-            masked_norms(a, *_gram_buckets(rng, 16, [0, 0, 600, 600]))
-        assert helper_failed.is_set()
-        assert threading.active_count() == base
 
     def test_small_stacks_start_no_thread_at_any_worker_counts(self, monkeypatch, rng):
         a = rng.uniform(-1.0, 1.0, (16, 16))
         rows, cols = _gram_buckets(rng, 16, [255, 200, 255, 100])
         pair_matrix = rng.uniform(-1.0, 1.0, (5, 5))  # at most 10 x 10 = 100 blocks a run
-        self._each(monkeypatch, lambda: masked_norms(a, rows, cols), expect_threads=False)
-        self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix),
-                   expect_threads=False)
-        self._each(monkeypatch, lambda: random_pave(DenseMatrix(a), 4, 60, Seed(1)),
-                   expect_threads=False)
+        self._each(monkeypatch, lambda: masked_norms(a, rows, cols))
+        self._each(monkeypatch, lambda: moments.pair_space_norms(pair_matrix))
+        self._each(monkeypatch, lambda: random_pave(DenseMatrix(a), 4, 60, Seed(1)))
 
 
 def _subset_norms(a: np.ndarray) -> np.ndarray:
