@@ -13,7 +13,6 @@ import functools
 import math
 import pickle
 import sys
-import threading
 
 from . import bounds, fileio, forks, suites
 from .errors import CapacityError, FormatError, ParameterError, PavelabError, PreconditionError
@@ -72,29 +71,6 @@ def _flag(ok: bool) -> str:
 # gen
 # ---------------------------------------------------------------------------
 
-def _beside(fn, arg, work):
-    """fn(arg) on a helper thread while work() runs on this one.  The helper
-    is joined whatever work() does; then work()'s exception propagates, or
-    else fn's exception is re-raised here or its value returned."""
-    outcome = {}
-
-    def helper():
-        try:
-            outcome["value"] = fn(arg)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
-        work()
-    finally:
-        thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 def _cmd_gen(args) -> int:
     kind = _ENSEMBLE_ALIASES.get(args.kind)
     if kind is None:
@@ -102,9 +78,14 @@ def _cmd_gen(args) -> int:
     seed = parse_seed(args.seed)
     bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
     a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
-    # LAPACK's SVD releases the GIL, and the write formats text under it with
-    # no BLAS call, so on two CPUs the printed norm hides behind the write.
-    norm = _beside(spectral_norm, a, functools.partial(fileio.write_matrix, a, args.out))
+    # this process writes while a forked child computes the printed norm
+    outcomes, error = _run_split(
+        [functools.partial(fileio.write_matrix, a, args.out), functools.partial(spectral_norm, a)],
+        "gen",
+    )
+    if error is not None:
+        raise error
+    norm = outcomes[1]
     entry = max_abs_entry(a)
     unit = abs(norm - 1.0) <= UNIT_NORM_TOL
     entry_ok = entry <= bound if math.isfinite(bound) else False
@@ -142,13 +123,15 @@ _PAVE_SPLIT_MIN_BLOCKS = 256
 def _pave(a: DenseMatrix, m: int, trials: int, seed):
     """random_pave(a, m, trials, seed), with trial t scored by process
     t mod N (N = `forks.CPUS`, at most `trials`) through `_run_split`, when
-    the search holds at least `_PAVE_SPLIT_MIN_BLOCKS` blocks of the Gram
-    kernel.  The least (quality, trial index) over the shares is the serial
-    first minimum.  SVD blocks (k > 64) stay in one process: forked beside
-    inherited BLAS threads they would oversubscribe the CPUs."""
+    `forks.may_fork(N)` allows and the search holds at least
+    `_PAVE_SPLIT_MIN_BLOCKS` blocks of the Gram kernel; else one process
+    runs the search once.  The least (quality, trial index) over the shares
+    is the serial first minimum.  SVD blocks (k > 64) stay in one process:
+    forked beside inherited BLAS threads they would oversubscribe the CPUs."""
     k = a.n_rows // m
     procs = min(forks.CPUS, trials)
-    if procs < 2 or trials * m < _PAVE_SPLIT_MIN_BLOCKS or not gram_kernel(k, k, m == 1):
+    split = trials * m >= _PAVE_SPLIT_MIN_BLOCKS and gram_kernel(k, k, m == 1)
+    if not (split and forks.may_fork(procs)):
         return random_pave(a, m, trials, seed)
     shares = [functools.partial(random_pave_share, a, m, trials, seed, j, procs)
               for j in range(procs)]
@@ -258,7 +241,9 @@ def _run_split(checks, what: str):
     use), when `forks.may_fork` allows; else this process runs every check.
     Each child pickles its outcomes down its pipe; one that dies without
     them gives a MemoryError naming the `what` process.  Every process norms
-    on its calling thread."""
+    on its calling thread.  The callers: `verify` (its suite instances),
+    `pave` (its trial shares) and `gen` (the write here, the norm in a
+    child)."""
     procs = min(forks.CPUS, len(checks))
     if not forks.may_fork(procs):
         return _run_checks(checks)

@@ -12,18 +12,17 @@ it to the same bits, so on any other input (tabs, repeated or edge spaces,
 `1_0`, non-ASCII digits, a malformed token, a short or long row) the per-row
 loop decides.  That loop defines the grammar (whitespace-split tokens, each
 read by `float()`) and is the only source of the row-numbered error
-messages.  `read_matrix` feeds the chunks straight from the open file, so it
-never holds the whole text, and then decodes the rest of the file.  A file
-of a MiB or more is parsed on every CPU the process may use: its body is
-cut into byte-range shares, one plus one per full `_SHARE_BYTES`, at most
-one per CPU.  This process parses share 0 into the array; forked children
-(`forks`) parse the others and send their raw rows down pipes, read in
-place.  The split is kept only when every share is clean and the rows add
-up to exactly n_rows; else the one-process read runs.  Any file they do not
-cleanly accept (too few rows, a header asking for more entries than the
-file has bytes for, a decode error anywhere, a line break that
-`str.splitlines` takes and file iteration does not) is read whole and
-parsed by `matrix_from_text`, which gives the same bits or the same error.
+messages.  `read_matrix` parses the body of the open file in byte-range
+shares: one, plus one per full `_SHARE_BYTES` of file, at most one per CPU,
+and one wherever the process may not fork.  This process parses share 0
+straight from the open file into the array; forked children (`forks`)
+parse the others and send their raw rows down pipes, read in place.  The
+array is kept only when every share is clean and the rows add up to
+exactly n_rows.  Any file they do not cleanly accept (too few or too many
+rows, a header asking for more entries than the file has bytes for, a
+decode error anywhere, a line break that `str.splitlines` takes and file
+iteration does not, a non-UTF-8 locale) is read whole and parsed by
+`matrix_from_text`, which gives the same bits or the same error.
 The writer formats each row with one `%` on a row template and streams the
 rows to the file.
 
@@ -89,8 +88,8 @@ def matrix_from_text(text: str) -> DenseMatrix:
     body = lines[1:]
     if len(body) < n_rows:
         raise FormatError(f"expected {n_rows} rows, found {len(body)}")
-    data = _parse_rows(iter(body), n_rows, n_cols, len(text))
-    if data is None:
+    data = _rows_for(n_rows, n_cols, len(text))
+    if data is None or _fill(iter(body), data) != n_rows:
         rows = []
         for i in range(n_rows):
             toks = body[i].split()
@@ -138,15 +137,6 @@ def _fill(lines: Iterator[str], rows: np.ndarray) -> int | None:
     return filled
 
 
-def _parse_rows(
-    lines: Iterator[str], n_rows: int, n_cols: int, size: int
-) -> np.ndarray | None:
-    """The next n_rows of `lines` parsed into one array, or None where the
-    per-row loop must decide; `size` bounds the length of the text."""
-    data = _rows_for(n_rows, n_cols, size)
-    return data if data is not None and _fill(lines, data) == n_rows else None
-
-
 def _single_lines(lines: Iterable[str]) -> Iterator[str]:
     """`lines` without their endings; a `FormatError` at the first line that
     `str.splitlines` would split further (at a form feed, \\x85, \\u2028, a
@@ -173,25 +163,22 @@ def _lines_between(fh: BinaryIO, start: int, end: int) -> Iterator[str]:
         yield line.decode()
 
 
-def _parse_share(fd: int, start: int, end: int, rows: np.ndarray) -> int | None:
+def _parse_share(fh: BinaryIO, start: int, end: int, rows: np.ndarray) -> int | None:
     """The number of rows parsed into the leading rows of `rows` from the
-    lines that begin in bytes [start, end) of the file open at `fd`, or None
-    unless each of those lines is one row.  The file is opened afresh, so
-    the offset is this process's own."""
-    try:
-        with open(f"/proc/self/fd/{fd}", "rb") as fh:
-            lines = _single_lines(_lines_between(fh, start, end))
-            filled = _fill(lines, rows)
-            return filled if filled is not None and next(lines, None) is None else None
-    except (OSError, FormatError, UnicodeDecodeError):
-        return None
+    lines that begin in bytes [start, end) of the binary file `fh`, or None
+    unless each of those lines is one row."""
+    lines = _single_lines(_lines_between(fh, start, end))
+    filled = _fill(lines, rows)
+    return filled if filled is not None and next(lines, None) is None else None
 
 
 def _send_share(fd: int, start: int, end: int, rows: np.ndarray, pipe: BinaryIO) -> None:
-    """In a child: parse a share into this process's copy of `rows`, then
-    send its row count and its raw float64 rows down `pipe`; nothing if the
-    share is not clean."""
-    filled = _parse_share(fd, start, end, rows)
+    """In a child: parse a share of the file open at `fd` into this
+    process's copy of `rows`, then send its row count and its raw float64
+    rows down `pipe`; nothing if the share is not clean.  The file is
+    opened afresh, so the offset is this process's own."""
+    with open(f"/proc/self/fd/{fd}", "rb") as fh:
+        filled = _parse_share(fh, start, end, rows)
     if filled is not None:
         pipe.write(filled.to_bytes(8, "little"))
         pipe.write(rows[:filled])
@@ -208,40 +195,40 @@ def _receive_share(pipe: BinaryIO, rows: np.ndarray) -> int | None:
     return count if pipe.readinto(target) == target.nbytes else None
 
 
-def _read_shares(fd: int, encoding: str, size: int) -> np.ndarray | None:
-    """The rows of the `size`-byte matrix file open at `fd`, parsed in
-    byte-range shares by this process and forked children, or None where
-    the one-process read must decide.
+def _read_shares(fh: BinaryIO, encoding: str) -> np.ndarray | None:
+    """The rows of the matrix file open as `fh` (binary, at its start),
+    parsed in byte-range shares by this process and forked children, or
+    None where the whole text must decide.  A header or a line of share 0
+    that does not decode or split cleanly raises instead.
 
     The body after the header is cut into N shares of equal byte size: one,
-    plus one per full `_SHARE_BYTES` of file, at most `forks.CPUS`,
-    and only where `forks.may_fork(N)` allows and the text is UTF-8.  Share
-    w holds the lines that begin in its byte range.  This process parses
-    share 0 straight into the array; each child parses one other share and
-    sends its rows down a pipe, read in place.  The array is kept only when
-    every share is clean and the rows add up to exactly n_rows; anything
-    else (a bad or split line, a trailing row, a refused fork, a child
-    killed before it sent all its rows) gives None."""
-    shares = min(forks.CPUS, 1 + size // _SHARE_BYTES)
-    if not forks.may_fork(shares) or codecs.lookup(encoding).name != "utf-8":
+    plus one per full `_SHARE_BYTES` of file, at most `forks.CPUS`, and one
+    where `forks.may_fork(N)` refuses.  Share w holds the lines that begin
+    in its byte range.  This process parses share 0 from `fh` straight into
+    the array; each child parses one other share and sends its rows down a
+    pipe, read in place.  The array is kept only when every share is clean
+    and the rows add up to exactly n_rows; anything else (a text `encoding`
+    other than UTF-8, a bad or split line, a trailing row, a refused fork, a
+    child killed before it sent all its rows) gives None."""
+    if codecs.lookup(encoding).name != "utf-8":
         return None
-    try:
-        with open(f"/proc/self/fd/{fd}", "rb") as fh:
-            head = fh.readline()
-        n_rows, n_cols = _header(next(_single_lines([head.decode()])))
-    except (OSError, FormatError, UnicodeDecodeError):
-        return None
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.readline()
+    n_rows, n_cols = _header(next(_single_lines([head.decode()])))
     data = _rows_for(n_rows, n_cols, size)
     if data is None:
         return None
+    shares = min(forks.CPUS, 1 + size // _SHARE_BYTES)
+    if not forks.may_fork(shares):
+        shares = 1
     bounds = [len(head) + (size - len(head)) * w // shares for w in range(shares + 1)]
     jobs = [
-        functools.partial(_send_share, fd, bounds[w], bounds[w + 1], data)
+        functools.partial(_send_share, fh.fileno(), bounds[w], bounds[w + 1], data)
         for w in range(1, shares)
     ]
     try:
         with forks.forked(jobs, "read") as children:
-            filled = _parse_share(fd, bounds[0], bounds[1], data)
+            filled = _parse_share(fh, bounds[0], bounds[1], data)
             for pipe in children.pipes:
                 if filled is None:
                     break
@@ -313,22 +300,13 @@ def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
 
 
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
-    """The matrix in the file at `path`.  A large file is parsed in
-    byte-range shares over forked processes (`_read_shares`); else, or where
-    a share is not clean, the rows are parsed from the open file in chunks.
-    A file the chunks do not cleanly accept is read whole and goes through
-    `matrix_from_text`, the grammar and the source of every error."""
+    """The matrix in the file at `path`, parsed from the open file in
+    byte-range shares (`_read_shares`), over forked processes when it is
+    large.  A file the shares do not cleanly accept is read whole and goes
+    through `matrix_from_text`, the grammar and the source of every error."""
     data = None
     with open(path) as fh, contextlib.suppress(FormatError, UnicodeDecodeError):
-        size = os.fstat(fh.fileno()).st_size
-        parsed = _read_shares(fh.fileno(), fh.encoding, size)
-        if parsed is None:
-            lines = _single_lines(fh)
-            n_rows, n_cols = _header(next(lines, ""))
-            parsed = _parse_rows(lines, n_rows, n_cols, size)
-            for _ in fh:  # decode the rest too: a bad byte anywhere is the whole read's error
-                pass
-        data = parsed
+        data = _read_shares(fh.buffer, fh.encoding)
     return matrix_from_text(_read_text(path)) if data is None else DenseMatrix._adopt(data)
 
 

@@ -2,9 +2,10 @@
 
 `verify` splits its suite instances over such children, `pave` its paving
 trials, and `fileio.read_matrix` the rows of a large matrix file, each over
-at most `CPUS` processes.  A child runs one job on the write end of its own
-pipe and leaves by `os._exit` on every path, so it never flushes the
-buffers or runs the exit handlers it inherited.  The parent reads the pipes
+at most `CPUS` processes; `gen` norms its matrix in one child while it
+writes the file.  No package code starts a thread.  A child runs one job
+on the write end of its own pipe and leaves by `os._exit` on every path,
+so it never flushes the buffers or runs the exit handlers it inherited.  The parent reads the pipes
 while the block runs; on leaving, every child is reaped, and killed first
 when the block raises.
 """

@@ -14,7 +14,7 @@ import pytest
 import pavelab
 
 from pavelab import DenseMatrix, Seed, exact_moment, exhaustive_pave, mc_moment, spectral_norm
-from pavelab import bounds, cli, fileio, moments, suites
+from pavelab import bounds, cli, fileio, moments, paving, suites
 from pavelab.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, SCAN_HEADER, main
 from pavelab.errors import CapacityError, ParameterError
 from pavelab.fileio import read_matrix, write_matrix
@@ -109,7 +109,8 @@ _GEN_CASES = [
 
 
 class TestGenNormHelper:
-    """`gen` norms its matrix on a helper thread while it writes the file."""
+    """`gen` norms its matrix in a forked helper process while it writes the
+    file (`cli._run_split`), and in turn on one CPU."""
 
     @pytest.mark.parametrize("kind, n", _GEN_CASES)
     def test_printed_norm_and_file_match_the_references(self, capsys, tmp_path, kind, n):
@@ -121,45 +122,98 @@ class TestGenNormHelper:
         a = gen_ensemble(cli._ENSEMBLE_ALIASES[kind], n, Seed(9), mu=0.05 if mu else None)
         assert path.read_text() == oracles.matrix_to_text(a)
 
-    def test_helper_memory_error_exits_3(self, capsys, tmp_path, monkeypatch):
-        threads = []
+    def _forks(self, monkeypatch, workers=2):
+        """A list that grows by one for every fork, at `workers` CPUs."""
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(cli.forks, "CPUS", workers)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        return forks
 
-        def no_room(a):
-            threads.append(threading.current_thread())
+    def _norm_in_child(self, monkeypatch, act):
+        """cli.spectral_norm that calls act() first when run in a child."""
+        parent = os.getpid()
+
+        def norm(a):
+            if os.getpid() != parent:
+                act()
+            return spectral_norm(a)
+
+        monkeypatch.setattr(cli, "spectral_norm", norm)
+
+    def test_helper_memory_error_exits_3(self, capsys, tmp_path, monkeypatch):
+        def no_room():
             raise MemoryError("no room for the SVD")
 
-        monkeypatch.setattr(cli, "spectral_norm", no_room)
-        before = threading.active_count()
+        self._norm_in_child(monkeypatch, no_room)
+        forks = self._forks(monkeypatch)
         code, out, err = run(capsys, "gen", "sign", "64", "--out", str(tmp_path / "m.txt"))
         assert code == EXIT_CAPACITY and out == "" and err == "error: no room for the SVD\n"
-        assert threads and threads[0] is not threading.current_thread()
-        assert threading.active_count() == before
+        assert forks == [1]
+        _assert_no_children()
 
     @pytest.mark.parametrize("target", ["missing/m.txt", ".", "m.txt"])
     def test_unwritable_out_exits_2_and_joins_the_helper(
         self, capsys, tmp_path, monkeypatch, target
     ):
         """A missing directory, a directory, and a rename that fails after
-        the temp file is written: exit 2, no temp file, and a helper slower
-        than the failed write is joined before main returns."""
+        the temp file is written: exit 2, no temp file, and a norm child
+        slower than the failed write is reaped before main returns."""
         if target == "m.txt":
             def no_space(*args):
                 raise OSError(errno.ENOSPC, "No space left on device")
 
             monkeypatch.setattr(fileio.os, "replace", no_space)
-        finished = []
-
-        def slow_norm(a):
-            time.sleep(0.2)
-            finished.append(a.n_rows)
-            return spectral_norm(a)
-
-        monkeypatch.setattr(cli, "spectral_norm", slow_norm)
-        before = threading.active_count()
+        self._norm_in_child(monkeypatch, lambda: time.sleep(0.2))
+        forks = self._forks(monkeypatch)
         code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / target))
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
-        assert finished == [130] and threading.active_count() == before
+        assert forks == [1]
+        _assert_no_children()
         assert list(tmp_path.iterdir()) == []
+
+    def test_killed_helper_exits_3(self, capsys, tmp_path, monkeypatch):
+        self._norm_in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        forks = self._forks(monkeypatch)
+        code, out, err = run(capsys, "gen", "sign", "64", "--out", str(tmp_path / "m.txt"))
+        assert code == EXIT_CAPACITY and out == "" and forks == [1]
+        assert err.startswith("error: gen process ")
+        assert err.endswith(" killed by signal 9 without a result\n")
+        _assert_no_children()
+
+    def test_refused_fork_exits_3_and_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli.forks, "CPUS", 2)
+        monkeypatch.setattr(os, "fork", refused)
+        path = tmp_path / "m.txt"
+        code, out, err = run(capsys, "gen", "sign", "64", "--out", str(path))
+        assert code == EXIT_CAPACITY and out == ""
+        assert err == "error: cannot fork a gen process: [Errno 11] Resource temporarily unavailable\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("refusal", ["one CPU", "another thread"])
+    def test_no_fork_prints_and_writes_the_forked_bytes(self, capsys, tmp_path, monkeypatch, refusal):
+        path = tmp_path / "m.txt"
+        argv = ("gen", "bounded", "130", "--mu", "0.05", "--seed", "3", "--out", str(path))
+        forks = self._forks(monkeypatch)
+        forked = (run(capsys, *argv), path.read_bytes())
+        assert forks == [1]
+        forks.clear()
+        if refusal == "one CPU":
+            monkeypatch.setattr(cli.forks, "CPUS", 1)
+            assert (run(capsys, *argv), path.read_bytes()) == forked
+        else:
+            release = threading.Event()
+            other = threading.Thread(target=release.wait)
+            other.start()
+            try:
+                assert (run(capsys, *argv), path.read_bytes()) == forked
+            finally:
+                release.set()
+                other.join(timeout=10)
+            assert not other.is_alive()
+        assert forks == []
 
 
 class TestPave:
@@ -604,6 +658,69 @@ class TestPaveProcesses:
         assert err.startswith("error: pave process ") and "killed by signal 9" in err
         assert not out.exists()
         _assert_no_children()
+
+
+    def test_one_search_while_another_thread_runs(self, capsys, monkeypatch, tmp_path):
+        """Where `may_fork` refuses, the search runs once in this process, not
+        once per share: the same bytes, from one call over every trial."""
+        src = tmp_path / "a.txt"
+        write_matrix(gen_ensemble("sign_normalized", 64, Seed(6)), src)
+        argv = ["pave", str(src), "-m", "8", "--trials", "64", "--out", str(tmp_path / "p.txt")]
+        monkeypatch.setattr(cli.forks, "CPUS", 3)
+        forked = (run(capsys, *argv), (tmp_path / "p.txt").read_bytes())
+        calls, real = [], paving.random_pave_share
+
+        def share(*args):
+            calls.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(paving, "random_pave_share", share)
+        monkeypatch.setattr(cli, "random_pave_share", share)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert (run(capsys, *argv), (tmp_path / "p.txt").read_bytes()) == forked
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive() and calls == [(0, 1)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the commands fork on Linux only")
+def test_no_thread_starts_at_worker_counts(capsys, tmp_path, monkeypatch):
+    """No package code starts a thread.  At two CPUs `gen` forks one child
+    for its norm, and `pave` above its split threshold, `verify` and the
+    read of a file of a MiB or more fork one each; the rest fork none."""
+    started, forks = [], []
+    real_fork, real_start = os.fork, threading.Thread.start
+    monkeypatch.setattr(cli.forks, "CPUS", 2)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or real_start(t))
+    big, a64, a8 = (str(tmp_path / name) for name in ("big.txt", "a64.txt", "a8.txt"))
+    part, csv = str(tmp_path / "part.txt"), str(tmp_path / "scan.csv")
+    runs = [
+        (["gen", "sign", "250", "--out", big], 1),
+        (["gen", "hadamard", "64", "--out", a64], 1),
+        (["gen", "hadamard_hollow", "8", "--out", a8], 1),
+        (["gen", "bounded", "64", "--mu", "0.05", "--out", a64], 1),
+        (["gen", "diagonal_free", "64", "--out", a64], 1),
+        (["gen", "sign", "8", "--out", a8], 1),
+        (["pave", a64, "-m", "8", "--trials", "2", "--out", part], 0),
+        (["pave", a64, "-m", "8", "--trials", "40", "--out", part], 1),
+        (["pave", big, "-m", "5", "--trials", "2", "--out", part], 1),
+        (["verify", "all", "--size", "tiny"], 1),
+        (["scan", a8, "--vary", "rho", "--grid", "0.2,0.5", "--method", "exact", "--out", csv], 0),
+        (["scan", a64, "--vary", "rho", "--grid", "0.1", "--method", "mc", "--trials", "20",
+          "--out", csv], 0),
+        (["bound", "pipeline", "--n", "1024", "--gamma", "1", "--m", "16"], 0),
+    ]
+    for argv, forked in runs:
+        forks.clear()
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+        assert len(forks) == forked and started == [], argv
+        _assert_no_children()
+    assert os.path.getsize(big) >= fileio._SHARE_BYTES
 
 
 class TestScan:

@@ -491,7 +491,7 @@ def _split_outcome(monkeypatch, path, workers):
     """(read_matrix's outcome, whether the split kept its array, children
     forked) with every file split into `workers` shares (the share size set
     to one byte), checking that no child is left and that a kept split forked
-    workers - 1 children."""
+    workers - 1 children, or none where `may_fork` took one share."""
     forks, kept, real_fork, real_shares = [], [], os.fork, fileio._read_shares
     monkeypatch.setattr(fileio, "_SHARE_BYTES", 1)
     monkeypatch.setattr(fileio.forks, "CPUS", workers)
@@ -505,7 +505,8 @@ def _split_outcome(monkeypatch, path, workers):
         monkeypatch.setattr(os, "fork", real_fork)
         _assert_no_children()
         assert len(forks) in (0, workers - 1)
-        assert not kept or kept[-1] is None or len(forks) == workers - 1
+        shares = workers if fileio.forks.may_fork(workers) else 1
+        assert not kept or kept[-1] is None or len(forks) == shares - 1
 
 
 def _assert_split_reads_like_reference(monkeypatch, path, text, workers):
@@ -521,7 +522,8 @@ def _assert_split_reads_like_reference(monkeypatch, path, text, workers):
 @pytest.mark.skipif(sys.platform != "linux", reason="the read forks on Linux only")
 class TestSplitRead:
     """`read_matrix` with its split forced on small files: the same bits or
-    the same error as the reference parser at 1, 2 and 3 processes."""
+    the same error as the reference parser in 1, 2 and 3 shares (one share
+    forks nothing)."""
 
     @pytest.mark.parametrize("workers", _SPLIT_WORKERS)
     @pytest.mark.parametrize("text", _READER_CORPUS)
@@ -589,7 +591,23 @@ class TestSplitRead:
         kept = _assert_split_reads_like_reference(
             monkeypatch, tmp_path / "m.txt", oracles.matrix_to_text(a), workers
         )
-        assert kept == (workers > 1)
+        assert kept
+
+    def test_one_share_opens_nothing_under_proc(self, rng, tmp_path, monkeypatch):
+        """Only the children reopen the file through /proc/self/fd, so a
+        one-share read works where /proc cannot be opened."""
+        real_open = open
+
+        def no_proc(file, *args, **kwargs):
+            if str(file).startswith("/proc/"):
+                raise FileNotFoundError(errno.ENOENT, "No such file or directory", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", no_proc, raising=False)
+        a = DenseMatrix(rng.standard_normal((40, 7)))
+        assert _assert_split_reads_like_reference(
+            monkeypatch, tmp_path / "m.txt", oracles.matrix_to_text(a), 1
+        )
 
 
 def _body_with_boundary(where):
@@ -633,7 +651,7 @@ def test_share_boundary(where, tmp_path, monkeypatch):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the read forks on Linux only")
 class TestSplitReadFailures:
-    """A share that cannot finish makes the read fall back to one process:
+    """A share that cannot finish makes the read fall back to the whole text:
     the same bytes, and no child left behind."""
 
     def _file(self, rng, tmp_path):
@@ -642,11 +660,11 @@ class TestSplitReadFailures:
         write_matrix(a, path)
         return path, a
 
-    def _read(self, monkeypatch, path, workers, forked=None):
+    def _read(self, monkeypatch, path, workers):
         """The outcome of the forced split read, which must fall back, after
-        forking `forked` children (workers - 1 by default)."""
+        forking workers - 1 children."""
         outcome, kept, forks = _split_outcome(monkeypatch, path, workers)
-        assert not kept and forks == (workers - 1 if forked is None else forked)
+        assert not kept and forks == workers - 1
         return outcome
 
     def test_killed_child(self, rng, tmp_path, monkeypatch):
@@ -676,18 +694,22 @@ class TestSplitReadFailures:
         assert len(calls) == 2
 
     def test_no_fork_while_another_thread_runs(self, rng, tmp_path, monkeypatch):
+        """A forked child would inherit the locks other threads hold: this
+        process reads the file in one share and keeps it."""
         path, a = self._file(rng, tmp_path)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert self._read(monkeypatch, path, 3, forked=0) == (a.shape, a.data.tobytes())
+            outcome, kept, forks = _split_outcome(monkeypatch, path, 3)
+            assert outcome == (a.shape, a.data.tobytes()) and kept and forks == 0
         finally:
             release.set()
             other.join(timeout=10)
+        assert not other.is_alive()
 
     def test_unclean_own_share_kills_children(self, rng, tmp_path, monkeypatch):
-        """The one-process read starts as soon as this process's share fails,
+        """The whole-text read starts as soon as this process's share fails,
         without waiting for the children."""
         path, a = self._file(rng, tmp_path)
         parent, real_fill = os.getpid(), fileio._fill
