@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import pickle
 import sys
 
 from . import bounds, fileio, forks, suites
@@ -79,7 +78,7 @@ def _cmd_gen(args) -> int:
     bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
     a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
     # this process writes while a forked child computes the printed norm
-    outcomes, error = _run_split(
+    outcomes, error = forks.split(
         [functools.partial(fileio.write_matrix, a, args.out), functools.partial(spectral_norm, a)],
         "gen",
     )
@@ -122,20 +121,19 @@ _PAVE_SPLIT_MIN_BLOCKS = 256
 
 def _pave(a: DenseMatrix, m: int, trials: int, seed):
     """random_pave(a, m, trials, seed), with trial t scored by process
-    t mod N (N = `forks.CPUS`, at most `trials`) through `_run_split`, when
-    `forks.may_fork(N)` allows and the search holds at least
-    `_PAVE_SPLIT_MIN_BLOCKS` blocks of the Gram kernel; else one process
-    runs the search once.  The least (quality, trial index) over the shares
-    is the serial first minimum.  SVD blocks (k > 64) stay in one process:
-    forked beside inherited BLAS threads they would oversubscribe the CPUs."""
+    t mod N (N = `forks.processes(trials)`) through `forks.split`, when the
+    search holds at least `_PAVE_SPLIT_MIN_BLOCKS` blocks of the Gram kernel
+    and N > 1; else one process runs the search once.  The least (quality,
+    trial index) over the shares is the serial first minimum.  SVD blocks
+    (k > 64) stay in one process: forked beside inherited BLAS threads they
+    would oversubscribe the CPUs."""
     k = a.n_rows // m
-    procs = min(forks.CPUS, trials)
-    split = trials * m >= _PAVE_SPLIT_MIN_BLOCKS and gram_kernel(k, k, m == 1)
-    if not (split and forks.may_fork(procs)):
+    procs = forks.processes(trials)
+    if procs == 1 or trials * m < _PAVE_SPLIT_MIN_BLOCKS or not gram_kernel(k, k, m == 1):
         return random_pave(a, m, trials, seed)
     shares = [functools.partial(random_pave_share, a, m, trials, seed, j, procs)
               for j in range(procs)]
-    results, error = _run_split(shares, "pave")
+    results, error = forks.split(shares, "pave")
     if error is not None:
         raise error
     return min(results, key=lambda res: (res.quality, res.best_trial_index))
@@ -219,53 +217,6 @@ def _sandwich_check(x: DenseMatrix, p: int):
     return line, rep.holds and rep.monotone
 
 
-def _run_checks(checks):
-    """(outcomes of the checks in order, up to the first that raises; that
-    exception, or None)."""
-    outcomes = []
-    try:
-        for check in checks:
-            outcomes.append(check())
-    except Exception as exc:  # re-raised by the caller, after the lines before it
-        return outcomes, exc
-    return outcomes, None
-
-
-def _send_checks(checks, pipe) -> None:
-    pipe.write(pickle.dumps(_run_checks(checks)))
-
-
-def _run_split(checks, what: str):
-    """_run_checks(checks), with check i run by process i mod N: this one and
-    N - 1 forked children, N = `forks.CPUS` (one per CPU the process may
-    use), when `forks.may_fork` allows; else this process runs every check.
-    Each child pickles its outcomes down its pipe; one that dies without
-    them gives a MemoryError naming the `what` process.  Every process norms
-    on its calling thread.  The callers: `verify` (its suite instances),
-    `pave` (its trial shares) and `gen` (the write here, the norm in a
-    child)."""
-    procs = min(forks.CPUS, len(checks))
-    if not forks.may_fork(procs):
-        return _run_checks(checks)
-    jobs = [functools.partial(_send_checks, checks[w::procs]) for w in range(1, procs)]
-    with forks.forked(jobs, what) as children:
-        shares = [_run_checks(checks[::procs])]
-        payloads = [pipe.read() for pipe in children.pipes]
-    for pid, payload, code in zip(children.pids, payloads, children.codes):
-        if code == 0:
-            shares.append(pickle.loads(payload))
-        else:
-            how = f"killed by signal {-code}" if code < 0 else f"exited {code}"
-            shares.append(([], MemoryError(f"{what} process {pid} {how} without a result")))
-    outcomes = []
-    for i in range(len(checks)):
-        done, error = shares[i % procs]
-        if i // procs == len(done):
-            return outcomes, error
-        outcomes.append(done[i // procs])
-    return outcomes, None
-
-
 def _cmd_verify(args) -> int:
     known = list(CASE_IDS) + ["MARKOV", "SANDWICH"]
     if args.suite == "all":
@@ -284,7 +235,7 @@ def _cmd_verify(args) -> int:
         else:
             items = _case_items(case_id, args.size, master)
         cases.append((case_id, items))
-    outcomes, error = _run_split([check for _, items in cases for _, check in items], "verify")
+    outcomes, error = forks.split([check for _, items in cases for _, check in items], "verify")
     outcomes = iter(outcomes)
     all_failures = []
     for case_id, items in cases:
@@ -323,9 +274,6 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_scan(args) -> int:
     if args.gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {args.gamma}")
-    a = fileio.read_matrix(args.input)
-    if not a.is_square:
-        raise ParameterError("scan needs a square matrix")
     seed = parse_seed(args.seed)
     grid = _parse_grid(args.grid)
     for value in grid:
@@ -337,6 +285,9 @@ def _cmd_scan(args) -> int:
                 raise ParameterError(f"p grid value {value} must be a positive integer")
             if args.rate is None:
                 raise ParameterError("--rate is required when varying p")
+    a = fileio.read_matrix(args.input)
+    if not a.is_square:
+        raise ParameterError("scan needs a square matrix")
     n = a.n_rows
     method = args.method
     if method == "auto":

@@ -13,16 +13,12 @@ it to the same bits, so on any other input (tabs, repeated or edge spaces,
 loop decides.  That loop defines the grammar (whitespace-split tokens, each
 read by `float()`) and is the only source of the row-numbered error
 messages.  `read_matrix` parses the body of the open file in byte-range
-shares: one, plus one per full `_SHARE_BYTES` of file, at most one per CPU,
-and one wherever the process may not fork.  This process parses share 0
-straight from the open file into the array; forked children (`forks`)
-parse the others and send their raw rows down pipes, read in place.  The
-array is kept only when every share is clean and the rows add up to
-exactly n_rows.  Any file they do not cleanly accept (too few or too many
-rows, a header asking for more entries than the file has bytes for, a
-decode error anywhere, a line break that `str.splitlines` takes and file
-iteration does not, a non-UTF-8 locale) is read whole and parsed by
-`matrix_from_text`, which gives the same bits or the same error.
+shares over forked processes (`_read_shares`).  Any file they do not
+cleanly accept (too few or too many rows, a header asking for more entries
+than the file has bytes for, a decode error anywhere, a line break that
+`str.splitlines` takes and file iteration does not, a non-UTF-8 locale) is
+read whole and parsed by `matrix_from_text`, which gives the same bits or
+the same error.
 The writer formats each row with one `%` on a row template and streams the
 rows to the file.
 
@@ -163,13 +159,15 @@ def _lines_between(fh: BinaryIO, start: int, end: int) -> Iterator[str]:
         yield line.decode()
 
 
-def _parse_share(fh: BinaryIO, start: int, end: int, rows: np.ndarray) -> int | None:
+def _parse_share(fh: BinaryIO, start: int, end: int, rows: np.ndarray) -> int:
     """The number of rows parsed into the leading rows of `rows` from the
-    lines that begin in bytes [start, end) of the binary file `fh`, or None
-    unless each of those lines is one row."""
+    lines that begin in bytes [start, end) of the binary file `fh`; a
+    `FormatError` unless each of those lines is one row."""
     lines = _single_lines(_lines_between(fh, start, end))
     filled = _fill(lines, rows)
-    return filled if filled is not None and next(lines, None) is None else None
+    if filled is None or next(lines, None) is not None:
+        raise FormatError("a line of the share is not one row")
+    return filled
 
 
 def _send_share(fd: int, start: int, end: int, rows: np.ndarray, pipe: BinaryIO) -> None:
@@ -179,66 +177,54 @@ def _send_share(fd: int, start: int, end: int, rows: np.ndarray, pipe: BinaryIO)
     opened afresh, so the offset is this process's own."""
     with open(f"/proc/self/fd/{fd}", "rb") as fh:
         filled = _parse_share(fh, start, end, rows)
-    if filled is not None:
-        pipe.write(filled.to_bytes(8, "little"))
-        pipe.write(rows[:filled])
+    pipe.write(filled.to_bytes(8, "little"))
+    pipe.write(rows[:filled])
 
 
-def _receive_share(pipe: BinaryIO, rows: np.ndarray) -> int | None:
+def _receive_share(pipe: BinaryIO, rows: np.ndarray) -> int:
     """The number of rows a child sent down `pipe`, read in place into the
-    leading rows of `rows`, or None if it sent less than it announced."""
+    leading rows of `rows`; a `FormatError` if it sent less than it
+    announced (an unclean share, or a child killed before it sent them)."""
     head = pipe.read(8)
-    if len(head) < 8:
-        return None
     count = int.from_bytes(head, "little")
     target = rows[:count]
-    return count if pipe.readinto(target) == target.nbytes else None
+    if len(head) < 8 or pipe.readinto(target) != target.nbytes:
+        raise FormatError("a share sent fewer rows than it announced")
+    return count
 
 
-def _read_shares(fh: BinaryIO, encoding: str) -> np.ndarray | None:
+def _read_shares(fh: BinaryIO, encoding: str) -> np.ndarray:
     """The rows of the matrix file open as `fh` (binary, at its start),
-    parsed in byte-range shares by this process and forked children, or
-    None where the whole text must decide.  A header or a line of share 0
-    that does not decode or split cleanly raises instead.
+    parsed in byte-range shares by this process and forked children.
 
-    The body after the header is cut into N shares of equal byte size: one,
-    plus one per full `_SHARE_BYTES` of file, at most `forks.CPUS`, and one
-    where `forks.may_fork(N)` refuses.  Share w holds the lines that begin
-    in its byte range.  This process parses share 0 from `fh` straight into
-    the array; each child parses one other share and sends its rows down a
-    pipe, read in place.  The array is kept only when every share is clean
-    and the rows add up to exactly n_rows; anything else (a text `encoding`
-    other than UTF-8, a bad or split line, a trailing row, a refused fork, a
-    child killed before it sent all its rows) gives None."""
-    if codecs.lookup(encoding).name != "utf-8":
-        return None
+    The body after the header is cut into N = `forks.processes(1 + size //
+    _SHARE_BYTES)` shares of equal byte size; share w holds the lines that
+    begin in its byte range.  This process parses share 0 from `fh` straight
+    into the array; each child parses one other share and sends its rows
+    down a pipe, read in place.  The array is returned only when every share
+    is clean and the rows add up to exactly n_rows.  Anything else raises
+    for `read_matrix` to read the whole text: a `FormatError` (a text
+    `encoding` other than UTF-8, a bad or split line, a trailing row, a
+    child killed before it sent all its rows) or `UnicodeDecodeError`, from
+    inside the `forks.forked` block once the children run, so that they are
+    killed instead of awaited, or a refused fork's `CapacityError`."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.readline()
     n_rows, n_cols = _header(next(_single_lines([head.decode()])))
     data = _rows_for(n_rows, n_cols, size)
-    if data is None:
-        return None
-    shares = min(forks.CPUS, 1 + size // _SHARE_BYTES)
-    if not forks.may_fork(shares):
-        shares = 1
+    if data is None or codecs.lookup(encoding).name != "utf-8":
+        raise FormatError("the whole text decides")
+    shares = forks.processes(1 + size // _SHARE_BYTES)
     bounds = [len(head) + (size - len(head)) * w // shares for w in range(shares + 1)]
-    jobs = [
-        functools.partial(_send_share, fh.fileno(), bounds[w], bounds[w + 1], data)
-        for w in range(1, shares)
-    ]
-    try:
-        with forks.forked(jobs, "read") as children:
-            filled = _parse_share(fh, bounds[0], bounds[1], data)
-            for pipe in children.pipes:
-                if filled is None:
-                    break
-                more = _receive_share(pipe, data[filled:])
-                filled = None if more is None else filled + more
-            if filled != n_rows:
-                children.kill()
-    except CapacityError:  # a refused fork
-        return None
-    return data if filled == n_rows else None
+    jobs = [functools.partial(_send_share, fh.fileno(), bounds[w], bounds[w + 1], data)
+            for w in range(1, shares)]
+    with forks.forked(jobs, "read") as children:
+        filled = _parse_share(fh, bounds[0], bounds[1], data)
+        for pipe in children.pipes:
+            filled += _receive_share(pipe, data[filled:])
+        if filled != n_rows:
+            raise FormatError(f"the shares hold {filled} rows, not {n_rows}")
+    return data
 
 
 def _read_text(path: str | os.PathLike) -> str:
@@ -302,12 +288,16 @@ def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
     """The matrix in the file at `path`, parsed from the open file in
     byte-range shares (`_read_shares`), over forked processes when it is
-    large.  A file the shares do not cleanly accept is read whole and goes
-    through `matrix_from_text`, the grammar and the source of every error."""
-    data = None
-    with open(path) as fh, contextlib.suppress(FormatError, UnicodeDecodeError):
-        data = _read_shares(fh.buffer, fh.encoding)
-    return matrix_from_text(_read_text(path)) if data is None else DenseMatrix._adopt(data)
+    large.  A file the shares do not cleanly accept (they raise a
+    `FormatError`, a `UnicodeDecodeError` or, at a refused fork, a
+    `CapacityError`) is read whole and goes through `matrix_from_text`, the
+    grammar and the source of every error."""
+    with open(path) as fh:
+        try:
+            return DenseMatrix._adopt(_read_shares(fh.buffer, fh.encoding))
+        except (FormatError, UnicodeDecodeError, CapacityError):
+            pass
+    return matrix_from_text(_read_text(path))
 
 
 def partition_to_text(part: Partition) -> str:

@@ -1,18 +1,18 @@
-"""Forked child processes, one pipe each: the one fork helper of the package.
+"""Forked child processes, one pipe each: the one process layer of the package.
 
-`verify` splits its suite instances over such children, `pave` its paving
-trials, and `fileio.read_matrix` the rows of a large matrix file, each over
-at most `CPUS` processes; `gen` norms its matrix in one child while it
-writes the file.  No package code starts a thread.  A child runs one job
-on the write end of its own pipe and leaves by `os._exit` on every path,
-so it never flushes the buffers or runs the exit handlers it inherited.  The parent reads the pipes
-while the block runs; on leaving, every child is reaped, and killed first
-when the block raises.
+`processes` sizes every split and `split` runs one: `verify` splits its
+suite instances, `pave` its paving trials, `gen` its write and its printed
+norm, and `fileio.read_matrix` a large file's rows (through `forked`).  No
+package code starts a thread.  A child runs one job on the write end of its
+own pipe and leaves by `os._exit` on every path, so it never flushes the
+buffers or runs the exit handlers it inherited.  On leaving a `forked`
+block every child is reaped, and killed first when the block raises.
 """
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -35,6 +35,14 @@ def may_fork(procs: int) -> bool:
     return sys.platform == "linux" and procs > 1 and threading.active_count() == 1
 
 
+def processes(pieces: int) -> int:
+    """The processes to split `pieces` pieces of work over, this one among
+    them: one per CPU (`CPUS`), at most one per piece, and 1 where
+    `may_fork` refuses."""
+    procs = min(CPUS, pieces)
+    return procs if may_fork(procs) else 1
+
+
 class Children:
     """The children of one `forked` block: their `pids` and the read ends of
     their pipes (`pipes`, binary files), and once the block is left their
@@ -45,12 +53,6 @@ class Children:
         self.pipes: list[BinaryIO] = []
         self.codes: list[int] = []
 
-    def kill(self) -> None:
-        """SIGKILL every child; one that has exited is still a zombie until
-        reaped, so its pid names no other process."""
-        for pid in self.pids:
-            os.kill(pid, signal.SIGKILL)
-
 
 @contextlib.contextmanager
 def forked(jobs: Iterable[Callable[[BinaryIO], None]], what: str) -> Iterator[Children]:
@@ -58,7 +60,8 @@ def forked(jobs: Iterable[Callable[[BinaryIO], None]], what: str) -> Iterator[Ch
     write end of the child's pipe, and the child exits 0 when it returns, 1
     when it raises.  Yields the `Children`.  On leaving, each pipe is closed
     (a child still writing gets EPIPE) and each child reaped; when the block
-    raises, every child is killed first.  A refused fork raises
+    raises, every child is SIGKILLed first (one that has exited is a zombie
+    until reaped, so its pid names no other process).  A refused fork raises
     `CapacityError` naming `what`, after the children forked before it are
     killed and reaped."""
     children = Children()
@@ -85,9 +88,61 @@ def forked(jobs: Iterable[Callable[[BinaryIO], None]], what: str) -> Iterator[Ch
             children.pipes.append(open(read, "rb"))
         yield children
     except BaseException:
-        children.kill()
+        for pid in children.pids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
         for pid, pipe in zip(children.pids, children.pipes):
             pipe.close()
             children.codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+
+def _run(calls):
+    """(outcomes of the calls in order, up to the first that raises; that
+    exception, or None)."""
+    outcomes = []
+    try:
+        for call in calls:
+            outcomes.append(call())
+    except Exception as exc:  # re-raised by the caller, after the outcomes before it
+        return outcomes, exc
+    return outcomes, None
+
+
+def split(calls, what: str):
+    """_run(calls), with call i run by process i mod N: this one and N - 1
+    forked children, N = `processes(len(calls))`, each on its calling
+    thread.  Each child pickles its outcomes down its pipe; one that dies
+    without them gives a MemoryError naming the `what` process and its pid.
+    When call 0 raises, no child's outcome can be used, so the children are
+    killed, not awaited."""
+    procs = processes(len(calls))
+    if procs == 1:
+        return _run(calls)
+    jobs = [lambda pipe, share=calls[w::procs]: pipe.write(pickle.dumps(_run(share)))
+            for w in range(1, procs)]
+    own = ([], None)
+    try:
+        with forked(jobs, what) as children:
+            own = _run(calls[::procs])
+            if not own[0] and own[1] is not None:
+                raise own[1]  # call 0 failed: no child's outcome is needed
+            payloads = [pipe.read() for pipe in children.pipes]
+    except Exception as exc:
+        if exc is not own[1]:
+            raise
+        return own
+    shares = [own]
+    for pid, payload, code in zip(children.pids, payloads, children.codes):
+        if code == 0:
+            shares.append(pickle.loads(payload))
+        else:
+            how = f"killed by signal {-code}" if code < 0 else f"exited {code}"
+            shares.append(([], MemoryError(f"{what} process {pid} {how} without a result")))
+    outcomes = []
+    for i in range(len(calls)):
+        done, error = shares[i % procs]
+        if i // procs == len(done):
+            return outcomes, error
+        outcomes.append(done[i // procs])
+    return outcomes, None

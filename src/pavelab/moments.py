@@ -77,8 +77,8 @@ EXACT_MASK_MAX_BYTES = 1 << 28  # the float64 mask rows of an exact space: 256 M
 
 
 def _chunk_rows(r: int, c: int) -> int:
-    # cap the temporary stacks at ~32 MB of float64
-    return max(1, min(_BATCH, (1 << 22) // max(1, r * c)))
+    # cap the temporary stacks at ~8 MB of float64 per process of a split
+    return max(1, min(_BATCH, (1 << 20) // max(1, r * c)))
 
 
 @dataclass(frozen=True)

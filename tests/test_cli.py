@@ -110,7 +110,7 @@ _GEN_CASES = [
 
 class TestGenNormHelper:
     """`gen` norms its matrix in a forked helper process while it writes the
-    file (`cli._run_split`), and in turn on one CPU."""
+    file (`forks.split`), and in turn on one CPU."""
 
     @pytest.mark.parametrize("kind, n", _GEN_CASES)
     def test_printed_norm_and_file_match_the_references(self, capsys, tmp_path, kind, n):
@@ -166,6 +166,19 @@ class TestGenNormHelper:
         self._norm_in_child(monkeypatch, lambda: time.sleep(0.2))
         forks = self._forks(monkeypatch)
         code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / target))
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+        assert forks == [1]
+        _assert_no_children()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_kills_the_norm_child(self, capsys, tmp_path, monkeypatch):
+        """The write is this process's first call: when it fails, the norm
+        is not needed, so its child is killed instead of awaited."""
+        self._norm_in_child(monkeypatch, lambda: time.sleep(60))
+        forks = self._forks(monkeypatch)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / "missing/m.txt"))
+        assert time.perf_counter() - start < 30
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
         assert forks == [1]
         _assert_no_children()
@@ -835,6 +848,22 @@ class TestScan:
             assert code == EXIT_USAGE
             assert err.startswith("error: gamma must be positive")
             assert out == "" and not out_csv.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--vary", "rho", "--grid", "2"), "rate grid value 2.0 outside [0, 1]"),
+        (("--vary", "rho", "--grid", ","), "grid must be nonempty"),
+        (("--vary", "p", "--grid", "4"), "--rate is required when varying p"),
+        (("--vary", "rho", "--grid", "0.2", "--seed", "x"), "cannot parse seed 'x'"),
+    ])
+    def test_bad_flags_exit_2_before_reading(self, capsys, tmp_path, flags, message):
+        """As in `pave`, the flags are checked before the input is read: a
+        missing file is not what the error names, and no csv is written."""
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(
+            capsys, "scan", str(tmp_path / "missing.txt"), *flags, "--out", str(out_csv)
+        )
+        assert code == EXIT_USAGE and out == "" and err == f"error: {message}\n"
+        assert not out_csv.exists()
 
 
 def _symmetric_contraction(n: int) -> DenseMatrix:

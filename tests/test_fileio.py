@@ -491,7 +491,7 @@ def _split_outcome(monkeypatch, path, workers):
     """(read_matrix's outcome, whether the split kept its array, children
     forked) with every file split into `workers` shares (the share size set
     to one byte), checking that no child is left and that a kept split forked
-    workers - 1 children, or none where `may_fork` took one share."""
+    one child per share past the first (`forks.processes` may give one)."""
     forks, kept, real_fork, real_shares = [], [], os.fork, fileio._read_shares
     monkeypatch.setattr(fileio, "_SHARE_BYTES", 1)
     monkeypatch.setattr(fileio.forks, "CPUS", workers)
@@ -500,13 +500,12 @@ def _split_outcome(monkeypatch, path, workers):
         fileio, "_read_shares", lambda *a: kept.append(real_shares(*a)) or kept[-1]
     )
     try:
-        return _outcome(read_matrix, path), bool(kept) and kept[-1] is not None, len(forks)
+        return _outcome(read_matrix, path), bool(kept), len(forks)
     finally:
         monkeypatch.setattr(os, "fork", real_fork)
         _assert_no_children()
         assert len(forks) in (0, workers - 1)
-        shares = workers if fileio.forks.may_fork(workers) else 1
-        assert not kept or kept[-1] is None or len(forks) == shares - 1
+        assert not kept or len(forks) == fileio.forks.processes(workers) - 1
 
 
 def _assert_split_reads_like_reference(monkeypatch, path, text, workers):
