@@ -76,6 +76,7 @@ def _cmd_gen(args) -> int:
         raise ParameterError(f"unknown ensemble kind {args.kind!r}")
     seed = parse_seed(args.seed)
     bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
+    fileio.check_directory(args.out)  # before the draw, which is most of the work
     a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
     # this process writes while a forked child computes the printed norm
     outcomes, error = forks.split(
@@ -285,6 +286,11 @@ def _cmd_scan(args) -> int:
                 raise ParameterError(f"p grid value {value} must be a positive integer")
             if args.rate is None:
                 raise ParameterError("--rate is required when varying p")
+    # the checks `moment` makes, before the read and the whole-matrix SVD
+    if args.vary in ("rho", "delta") and args.p <= 0:
+        raise ParameterError(f"p must be positive, got {args.p}")
+    if args.method == "mc" and args.trials < 2:
+        raise ParameterError(f"need trials >= 2, got {args.trials}")
     a = fileio.read_matrix(args.input)
     if not a.is_square:
         raise ParameterError("scan needs a square matrix")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import errno
 import functools
 import itertools
 import os
@@ -279,6 +280,15 @@ def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def check_directory(path: str | os.PathLike) -> None:
+    """Raise the OSError `write_text` raises for `path` when the target's
+    directory is missing or no directory, before any work on the text."""
+    head = os.path.dirname(os.path.realpath(path))
+    if not os.path.isdir(head):
+        code = errno.ENOTDIR if os.path.exists(head) else errno.ENOENT
+        raise OSError(code, os.strerror(code), os.fspath(path))
 
 
 def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:

@@ -31,8 +31,11 @@ n x n Gram per row set (A_S^T A_S) or column set (A_T A_T^T) in
 `exact_pattern_values` picks that kernel by model and never builds the 4^n
 pair mask rows; only `exact_patterns` expands one side's 2^n masks into
 them, for callers that read the rows.  Sampled pair patterns always go
-through `masked_norms`.  The pair kernel and the subset traces of
-`polynomials` gather per-size stacks from `size_index_rows`.  The norms of
+through `masked_norms`.  `size_index_rows(n)` builds the 2^n masks with
+their per-size codes and coordinate arrays once per n and process,
+read-only; `mask_bits`, the exact spaces, the pair kernel and the subset
+traces of `polynomials` all share it, and `masked_norms` given that very
+table on both sides norms its size-k stacks without bucketing.  The norms of
 an exact pattern space depend on neither the rate nor p, so
 `exact_pattern_values` keeps the last matrix's norms (with the mask
 popcounts its weights need) and exact moments of one matrix share one
@@ -101,20 +104,37 @@ class MomentEstimate:
 # Pattern-space building blocks
 # ---------------------------------------------------------------------------
 
+# The `size_index_rows` tables built so far, by n.  Each is built once per
+# process and never written, so every exact space and kernel of one n shares
+# it, and `masked_norms` knows its bits by identity.  At n = 14 a table holds
+# about 3 MB.
+_TABLES: dict[int, tuple] = {}
+
+
+def size_index_rows(n: int) -> tuple[np.ndarray, tuple, tuple]:
+    """(bits, codes, idx) for n <= EXACT_BERNOULLI_MAX_N, read-only and built
+    once per n: all 2^n coordinate masks as rows of 0.0/1.0 in binary-counter
+    order (bit i of a code selects coordinate i), and per size k the weight-k
+    mask codes and their C(n, k) x k coordinate array."""
+    table = _TABLES.get(n)
+    if table is None:
+        if n > EXACT_BERNOULLI_MAX_N:
+            raise CapacityError(f"a mask table of 2^{n} patterns is past the cap")
+        all_codes = np.arange(1 << n, dtype=np.uint32)
+        bits = ((all_codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.float64)
+        counts = bits.sum(axis=1)
+        codes = tuple(np.flatnonzero(counts == k) for k in range(n + 1))
+        idx = tuple(np.nonzero(bits[c])[1].reshape(c.size, k) for k, c in enumerate(codes))
+        for array in (bits, *codes, *idx):
+            array.flags.writeable = False
+        table = _TABLES[n] = (bits, codes, idx)
+    return table
+
+
 def mask_bits(n: int) -> np.ndarray:
-    """All 2^n coordinate masks as rows of 0.0/1.0, binary-counter order."""
-    codes = np.arange(1 << n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.float64)
-
-
-def size_index_rows(n: int) -> tuple[np.ndarray, list, list]:
-    """(mask_bits(n), codes, idx): per size k, the weight-k mask codes and their
-    C(n, k) x k coordinate array."""
-    bits = mask_bits(n)
-    counts = bits.sum(axis=1)
-    codes = [np.flatnonzero(counts == k) for k in range(n + 1)]
-    idx = [np.nonzero(bits[c])[1].reshape(c.size, k) for k, c in enumerate(codes)]
-    return bits, codes, idx
+    """All 2^n coordinate masks as rows of 0.0/1.0, binary-counter order: the
+    read-only, shared `bits` of `size_index_rows(n)`."""
+    return size_index_rows(n)[0]
 
 
 def bernoulli_weights(bits: np.ndarray, rate: float) -> np.ndarray:
@@ -214,6 +234,20 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
+def _table_norms(a: np.ndarray, table: tuple) -> np.ndarray:
+    """`masked_norms(a, bits, bits)` for the `size_index_rows` table
+    (bits, codes, idx): each size-k stack gathered straight from idx[k], in
+    the chunks `masked_norms` cuts from its (k, k) bucket."""
+    bits, codes, idx = table
+    out = np.zeros(bits.shape[0])
+    for k in range(1, len(idx)):
+        whole = (k, k) == a.shape
+        for start, stop in _gram_chunks(codes[k].size, 1, _chunk_rows(k, k)):
+            sets = idx[k][start:stop]
+            out[codes[k][start:stop]] = block_norms(a[sets[:, :, None], sets[:, None, :]], whole)
+    return out
+
+
 def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> np.ndarray:
     """||P_sigma A P_tau|| for each (row mask, column mask) pair of rows.
 
@@ -223,9 +257,16 @@ def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> n
     largest block: each bucket's part of a chunk by `scaled_grams`, the whole
     chunk by one `gram_norms`.  The other buckets (the whole matrix, k > 64)
     take `block_norms`' SVD per bucket; patterns with an empty side are 0.
-    Every chunk is normed on the calling thread.  Results come back in input
-    order.
+    When both sides are the very `bits` of a table `size_index_rows` has
+    built, the buckets are that table's size-k stacks, and `_table_norms`
+    norms them without sorting or scanning the masks, in the same chunks
+    and with the same bits.  Every chunk is normed on the calling thread.
+    Results come back in input order.
     """
+    if row_bits is col_bits:
+        for table in _TABLES.values():
+            if table[0] is row_bits:
+                return _table_norms(a, table)
     rows = np.asarray(row_bits) != 0
     cols = np.asarray(col_bits) != 0
     out = np.zeros(rows.shape[0])

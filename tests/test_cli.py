@@ -157,7 +157,8 @@ class TestGenNormHelper:
     ):
         """A missing directory, a directory, and a rename that fails after
         the temp file is written: exit 2, no temp file, and a norm child
-        slower than the failed write is reaped before main returns."""
+        slower than the failed write is reaped before main returns.  The
+        missing directory is refused before the draw, so nothing forks."""
         if target == "m.txt":
             def no_space(*args):
                 raise OSError(errno.ENOSPC, "No space left on device")
@@ -167,22 +168,47 @@ class TestGenNormHelper:
         forks = self._forks(monkeypatch)
         code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / target))
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
-        assert forks == [1]
+        assert forks == ([] if target == "missing/m.txt" else [1])
         _assert_no_children()
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_kills_the_norm_child(self, capsys, tmp_path, monkeypatch):
-        """The write is this process's first call: when it fails, the norm
-        is not needed, so its child is killed instead of awaited."""
+        """The write is this process's first call: when it fails (here its
+        rename), the norm is not needed, so its child is killed instead of
+        awaited."""
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(fileio.os, "replace", no_space)
         self._norm_in_child(monkeypatch, lambda: time.sleep(60))
         forks = self._forks(monkeypatch)
         start = time.perf_counter()
-        code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / "missing/m.txt"))
+        code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / "m.txt"))
         assert time.perf_counter() - start < 30
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
         assert forks == [1]
         _assert_no_children()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target, errno_name", [
+        ("missing/m.txt", "ENOENT"), ("file/m.txt", "ENOTDIR"),
+    ])
+    def test_missing_directory_exits_2_before_the_draw(
+        self, capsys, tmp_path, monkeypatch, target, errno_name
+    ):
+        """An output directory that is missing, or a file, is refused before
+        the matrix is drawn, with the `error:` line the write would give."""
+        (tmp_path / "file").write_text("")
+        drawn = []
+        monkeypatch.setattr(cli, "gen_ensemble", lambda *args, **kwargs: drawn.append(args))
+        forks = self._forks(monkeypatch)
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "gen", "sign", "1000", "--out", path)
+        code_number = getattr(errno, errno_name)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: [Errno {code_number}] {os.strerror(code_number)}: {path!r} (run gen)\n"
+        assert drawn == [] and forks == []
+        assert [f.name for f in tmp_path.iterdir()] == ["file"]
 
     def test_killed_helper_exits_3(self, capsys, tmp_path, monkeypatch):
         self._norm_in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
@@ -864,6 +890,44 @@ class TestScan:
         )
         assert code == EXIT_USAGE and out == "" and err == f"error: {message}\n"
         assert not out_csv.exists()
+
+
+    @pytest.mark.parametrize("vary, p", [("rho", "0"), ("delta", "-2")])
+    def test_nonpositive_p_exits_2_before_reading(self, capsys, tmp_path, vary, p):
+        """`--p` <= 0 with a rate grid is refused before the input is read
+        (a missing file is not what the error names), with the message
+        `moment` gives."""
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(
+            capsys, "scan", str(tmp_path / "missing.txt"), "--vary", vary, "--grid", "0.2",
+            "--p", p, "--out", str(out_csv),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: p must be positive, got {float(p)}\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--vary", "rho", "--grid", "0.2", "--p", "6"),
+        ("--vary", "p", "--grid", "2,4", "--rate", "0.3"),
+    ])
+    @pytest.mark.parametrize("trials", ["1", "0", "-5"])
+    def test_mc_trials_below_two_exit_2_before_reading(self, capsys, tmp_path, flags, trials):
+        """A Monte Carlo scan of fewer than two draws is refused before the
+        input is read, with the message `mc_moment` gives; an exact scan
+        ignores `--trials`."""
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(
+            capsys, "scan", str(tmp_path / "missing.txt"), *flags, "--method", "mc",
+            "--trials", trials, "--out", str(out_csv),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: need trials >= 2, got {trials}\n"
+        assert not out_csv.exists()
+        src = tmp_path / "m.txt"
+        write_matrix(gen_ensemble("sign_normalized", 6, Seed(5)), src)
+        code, _, _ = run(capsys, "scan", str(src), *flags, "--method", "exact",
+                         "--trials", trials, "--out", str(out_csv))
+        assert code == EXIT_OK and out_csv.exists()
 
 
 def _symmetric_contraction(n: int) -> DenseMatrix:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -324,6 +327,139 @@ class TestMaskedNorms:
         calls.clear()
         moments.pair_space_norms(a[:5, :5])
         assert sorted(shape[1] for shape in calls) == [1, 2, 3, 4, 5]
+
+
+class TestSizeIndexTable:
+    """`size_index_rows` builds one read-only table per n, and `masked_norms`
+    given its very `bits` on both sides norms the table's size-k stacks
+    (`_table_norms`) with the bits of the bucketed path."""
+
+    @pytest.fixture(autouse=True)
+    def table_calls(self, monkeypatch):
+        """No table or exact norms built yet, and a list of the
+        `_table_norms` calls."""
+        monkeypatch.setattr(moments, "_TABLES", {})
+        monkeypatch.setattr(moments, "_last_norms", None)
+        calls = []
+        real = moments._table_norms
+
+        def counting(a, table):
+            calls.append(len(table[1]) - 1)
+            return real(a, table)
+
+        monkeypatch.setattr(moments, "_table_norms", counting)
+        return calls
+
+    @staticmethod
+    def _both(a, n):
+        """(table path, bucketed path on a writable copy of the table)."""
+        bits = moments.mask_bits(n)
+        copy = bits.copy()
+        return masked_norms(a, bits, bits), masked_norms(a, copy, copy)
+
+    @pytest.mark.parametrize("n", range(1, moments.EXACT_BERNOULLI_MAX_N + 1))
+    def test_table_path_equals_the_bucketed_path(self, rng, table_calls, n):
+        """Uniform entries at even n, +-1 entries (whose integer Grams send
+        double top eigenvalues to the fallbacks) at odd n, each also scaled
+        by 2^-1040 (subnormal) and 2^1000."""
+        base = rng.uniform(-1.0, 1.0, (n, n)) if n % 2 == 0 else rng.choice([-1.0, 1.0], (n, n))
+        for scale in (1.0, 2.0 ** -1040, 2.0 ** 1000):
+            table, bucketed = self._both(base * scale, n)
+            assert np.array_equal(table, bucketed)
+            assert table[-1] == spectral_norm(DenseMatrix(base * scale))
+        assert table_calls == [n] * 3
+
+    @pytest.mark.parametrize("n", [3, 8, 11])
+    def test_table_path_at_batch_one(self, monkeypatch, rng, table_calls, n):
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        default = self._both(a, n)[0]
+        monkeypatch.setattr(moments, "_BATCH", 1)
+        table, bucketed = self._both(a, n)
+        assert np.array_equal(table, bucketed) and np.array_equal(table, default)
+        assert table_calls == [n, n]
+
+    @pytest.mark.parametrize("batch", [moments._BATCH, 100, 1])
+    def test_same_kernel_stacks_as_the_bucketed_path(self, monkeypatch, rng, batch):
+        """The table path cuts each size's stack into the bucketed path's
+        chunks: the same `top_eigenvalues` stacks and SVD blocks."""
+        a = rng.uniform(-1.0, 1.0, (12, 12))
+        bits = moments.mask_bits(12)
+        monkeypatch.setattr(moments, "_BATCH", batch)
+        stacks = []
+        real_top, real_svd = matrices.top_eigenvalues, np.linalg.svd
+
+        def top_eigenvalues(blocks):
+            stacks.append(blocks.shape)
+            return real_top(blocks)
+
+        def svd(blocks, **kwargs):
+            stacks.append(("svd", blocks.shape))
+            return real_svd(blocks, **kwargs)
+
+        monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        masked_norms(a, bits, bits)
+        table = sorted(stacks, key=str)
+        stacks.clear()
+        copy = bits.copy()
+        masked_norms(a, copy, copy)
+        assert table == sorted(stacks, key=str) and ("svd", (1, 12, 12)) in table
+
+    def test_larger_and_rectangular_matrices(self, rng, table_calls):
+        """The table's masks select among the leading n coordinates of any
+        matrix at least that large."""
+        for shape in ((9, 9), (6, 11), (11, 6)):
+            a = rng.uniform(-1.0, 1.0, shape)
+            table, bucketed = self._both(a, 6)
+            assert np.array_equal(table, bucketed)
+        assert table_calls == [6] * 3
+
+    def test_one_read_only_table_per_n(self):
+        for n in (0, 1, 5, moments.EXACT_BERNOULLI_MAX_N):
+            bits, codes, idx = moments.size_index_rows(n)
+            assert moments.size_index_rows(n)[0] is bits and moments.mask_bits(n) is bits
+            assert bits.shape == (1 << n, n)
+            assert [c.size for c in codes] == [math.comb(n, k) for k in range(n + 1)]
+            for array in (bits, *codes, *idx):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+        bits, codes, idx = moments.size_index_rows(moments.EXACT_BERNOULLI_MAX_N)
+        assert sum(x.nbytes for x in (bits, *codes, *idx)) < 3 << 20
+
+    def test_past_the_cap_is_a_capacity_error(self):
+        with pytest.raises(CapacityError):
+            moments.size_index_rows(moments.EXACT_BERNOULLI_MAX_N + 1)
+        assert moments._TABLES == {}
+
+    def test_monte_carlo_builds_no_table(self, rng, table_calls):
+        """A sampled Bernoulli moment at n = 10 neither builds a table nor
+        takes the table path; an exact one builds the n = 10 table once."""
+        a = DenseMatrix(rng.uniform(-1.0, 1.0, (10, 10)))
+        mc_moment(a, Bernoulli(10, 0.3), 4.0, 500, Seed(3))
+        assert moments._TABLES == {} and table_calls == []
+        exact_moment(a, Bernoulli(10, 0.3), 4.0)
+        assert list(moments._TABLES) == [10] and table_calls == [10]
+
+    def test_table_path_bitwise_across_blas_thread_counts(self, rng, tmp_path):
+        """The n = 14 table path in a child process at one BLAS thread, here
+        at the inherited setting, and the bucketed path give the same bits."""
+        a = rng.uniform(-1.0, 1.0, (14, 14))
+        np.save(tmp_path / "a.npy", a)
+        script = (
+            "import sys, numpy as np\n"
+            "from pavelab import moments\n"
+            "a, bits = np.load(sys.argv[1]), moments.mask_bits(14)\n"
+            "np.save(sys.argv[2], moments.masked_norms(a, bits, bits))\n"
+        )
+        src = os.path.dirname(os.path.dirname(moments.__file__))
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.npy"), str(tmp_path / "single.npy")],
+                       env=env, check=True)
+        table, bucketed = self._both(a, 14)
+        assert np.array_equal(np.load(tmp_path / "single.npy"), table)
+        assert np.array_equal(table, bucketed)
 
 
 class TestChunkSizeDeterminism:
