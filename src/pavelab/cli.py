@@ -272,6 +272,14 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
+def _mc_by_header(path: str) -> bool:
+    """Whether `--method auto` picks Monte Carlo for the matrix file at
+    `path` by its header alone: False where the header is not that of a
+    square matrix past the exact cap (the read then decides)."""
+    head = fileio.read_header(path)
+    return head is not None and head[0] == head[1] > EXACT_BERNOULLI_MAX_N
+
+
 def _cmd_scan(args) -> int:
     if args.gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {args.gamma}")
@@ -286,10 +294,13 @@ def _cmd_scan(args) -> int:
                 raise ParameterError(f"p grid value {value} must be a positive integer")
             if args.rate is None:
                 raise ParameterError("--rate is required when varying p")
-    # the checks `moment` makes, before the read and the whole-matrix SVD
+    # the checks `moment` makes, before the read and the whole-matrix SVD;
+    # auto picks Monte Carlo for a square header past the exact cap
     if args.vary in ("rho", "delta") and args.p <= 0:
         raise ParameterError(f"p must be positive, got {args.p}")
-    if args.method == "mc" and args.trials < 2:
+    if args.trials < 2 and (
+        args.method == "mc" or args.method == "auto" and _mc_by_header(args.input)
+    ):
         raise ParameterError(f"need trials >= 2, got {args.trials}")
     a = fileio.read_matrix(args.input)
     if not a.is_square:

@@ -60,10 +60,6 @@ def _matrix_lines(a: DenseMatrix) -> Iterator[str]:
         yield row_format % tuple(row.tolist())
 
 
-def matrix_to_text(a: DenseMatrix) -> str:
-    return "".join(_matrix_lines(a))
-
-
 def _header(line: str) -> tuple[int, int]:
     head = line.split()
     if len(head) != 2:
@@ -295,6 +291,17 @@ def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
     write_text(path, _matrix_lines(a))
 
 
+def read_header(path: str | os.PathLike) -> tuple[int, int] | None:
+    """(n_rows, n_cols) from the header line of the matrix file at `path`,
+    read as `read_matrix` reads it, or None when that line cannot be read or
+    parsed: `read_matrix` then names the error."""
+    try:
+        with open(path) as fh:
+            return _header((fh.readline().splitlines() or [""])[0])
+    except (OSError, UnicodeDecodeError, FormatError):
+        return None
+
+
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
     """The matrix in the file at `path`, parsed from the open file in
     byte-range shares (`_read_shares`), over forked processes when it is
@@ -312,22 +319,6 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
 
 def partition_to_text(part: Partition) -> str:
     return "\n".join(" ".join(str(i) for i in b.indices) for b in part.blocks) + "\n"
-
-
-def partition_from_text(text: str, n: int) -> Partition:
-    blocks = []
-    for line in text.splitlines():
-        toks = line.split()
-        if not toks:
-            continue
-        try:
-            blocks.append([int(t) for t in toks])
-        except ValueError as exc:
-            raise FormatError(f"bad partition line {line!r}") from exc
-    try:
-        return Partition.from_blocks(n, blocks)
-    except Exception as exc:
-        raise FormatError(f"invalid partition: {exc}") from exc
 
 
 def write_partition(part: Partition, path: str | os.PathLike) -> None:

@@ -14,9 +14,7 @@ O(k^3) for the eigenvalue, k = min(r, c).  `top_eigenvalues` picks the
 eigenvalue kernel by k alone: closed forms for k <= 3, Laguerre's method for
 k = 4, `eigvalsh` above; a 3 x 3 or 4 x 4 block takes `eigvalsh` only by its
 own state (a near-double top eigenvalue, a scale out of range, a value that
-is zero or not finite).  `scaled_grams` and `gram_norms` are the two halves
-of that rule, so a caller can norm blocks of several shapes with one
-eigenvalue stack.  Two cases keep the singular-value-only SVD:
+is zero or not finite).  Two cases keep the singular-value-only SVD:
 - the whole matrix, so every "nothing removed" pattern (rate 1, a one-block
   paving) equals `spectral_norm` bit for bit;
 - k > GRAM_MAX_K = 64: numpy's `syrk` Gram of a 100 x 100 block and
@@ -401,21 +399,6 @@ def gram_kernel(r: int, c: int, whole: bool) -> bool:
     return not whole and min(r, c) <= GRAM_MAX_K
 
 
-def scaled_grams(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(grams, shift): the smaller Gram of each block of a (B, r, c) stack
-    after scaling the block by 2^-shift, its largest entry in [1/2, 1)."""
-    r, c = blocks.shape[1:]
-    shift = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1]
-    b = np.ldexp(blocks, -shift[:, None, None])
-    bt = b.transpose(0, 2, 1)
-    return (bt @ b if c <= r else b @ bt), shift
-
-
-def gram_norms(grams: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The norms of the blocks of `scaled_grams` (any k x k stack of them)."""
-    return np.ldexp(np.sqrt(top_eigenvalues(grams)), shift)
-
-
 def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
     """Spectral norm of each block of a nonempty (B, r, c) stack.
 
@@ -428,7 +411,10 @@ def block_norms(blocks: np.ndarray, whole: bool) -> np.ndarray:
     r, c = blocks.shape[1:]
     if not gram_kernel(r, c, whole):
         return np.linalg.svd(blocks, compute_uv=False)[:, 0]
-    return gram_norms(*scaled_grams(blocks))
+    shift = np.frexp(np.abs(blocks).max(axis=(1, 2)))[1]
+    b = np.ldexp(blocks, -shift[:, None, None])
+    bt = b.transpose(0, 2, 1)
+    return np.ldexp(np.sqrt(top_eigenvalues(bt @ b if c <= r else b @ bt)), shift)
 
 
 def batch_schatten_norms(stack: np.ndarray, p: float) -> np.ndarray:

@@ -21,13 +21,14 @@ call are normed by `matrices` through the top eigenvalue of their k x k Gram
 (closed form for k <= 3 and a Laguerre kernel for k = 4, each with its
 `eigvalsh` fallback), except the whole matrix and k > 64, which take the SVD
 so that a rate-1 pattern equals `spectral_norm` bit for bit and no result
-depends on the BLAS thread count.  All Gram blocks of one size k form one
-stack, handed to `top_eigenvalues` in chunks of at most `_GRAM_CHUNK`
-blocks, so a norm call makes one kernel call per k and chunk: `masked_norms`
-gathers the submatrices of every (r, c) bucket with min(r, c) = k, and the
-whole BernoulliPair space, a product of row sets and column sets, forms one
-n x n Gram per row set (A_S^T A_S) or column set (A_T A_T^T) in
-`pair_space_norms` and gathers every pattern's k x k block from those.
+depends on the BLAS thread count.  `masked_norms` norms its patterns in one
+loop over chunks of blocks of one shape, at most `_GRAM_CHUNK` a chunk, by
+`block_norms`: the masks' (r, c) buckets one at a time, or the size-k stacks
+of a cached subset table.  The whole BernoulliPair space, a product of row
+sets and column sets, forms one n x n Gram per row set (A_S^T A_S) or
+column set (A_T A_T^T) in `pair_space_norms` and gathers every pattern's
+k x k block from those, so its blocks of one size k = min(r, c) form one
+`top_eigenvalues` stack, cut into chunks of at most `_GRAM_CHUNK` blocks.
 `exact_pattern_values` picks that kernel by model and never builds the 4^n
 pair mask rows; only `exact_patterns` expands one side's 2^n masks into
 them, for callers that read the rows.  Sampled pair patterns always go
@@ -35,8 +36,8 @@ through `masked_norms`.  `size_index_rows(n)` builds the 2^n masks with
 their per-size codes and coordinate arrays once per n and process,
 read-only; `mask_bits`, the exact spaces, the pair kernel and the subset
 traces of `polynomials` all share it, and `masked_norms` given that very
-table on both sides norms its size-k stacks without bucketing.  The norms of
-an exact pattern space depend on neither the rate nor p, so
+table on both sides takes its size-k stacks as chunks without bucketing.
+The norms of an exact pattern space depend on neither the rate nor p, so
 `exact_pattern_values` keeps the last matrix's norms (with the mask
 popcounts its weights need) and exact moments of one matrix share one
 enumeration per pattern space.  Every kernel call runs on the calling
@@ -52,14 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .matrices import (
-    DenseMatrix,
-    block_norms,
-    gram_kernel,
-    gram_norms,
-    scaled_grams,
-    top_eigenvalues,
-)
+from .matrices import DenseMatrix, block_norms, top_eigenvalues
 from .sampling import (
     Bernoulli,
     BernoulliPair,
@@ -172,9 +166,9 @@ _GRAM_CHUNK = 1024
 
 
 def _gram_chunks(count: int, per: int, step: int) -> list:
-    """(start, stop) ranges that cut one Gram size's stack, `count` units of
-    `per` blocks each, into chunks of at most `step` and `_GRAM_CHUNK` blocks
-    (but at least one unit)."""
+    """(start, stop) ranges that cut a stack of `count` units of `per` blocks
+    each into chunks of at most `step` and `_GRAM_CHUNK` blocks (but at
+    least one unit)."""
     step = max(1, min(step, _GRAM_CHUNK) // per)
     return [(start, min(start + step, count)) for start in range(0, count, step)]
 
@@ -234,86 +228,57 @@ def pair_space_norms(a: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _table_norms(a: np.ndarray, table: tuple) -> np.ndarray:
-    """`masked_norms(a, bits, bits)` for the `size_index_rows` table
-    (bits, codes, idx): each size-k stack gathered straight from idx[k], in
-    the chunks `masked_norms` cuts from its (k, k) bucket."""
-    bits, codes, idx = table
-    out = np.zeros(bits.shape[0])
+def _table_chunks(table: tuple):
+    """The (positions, rows, columns) chunks of `masked_norms(a, bits, bits)`
+    for the `size_index_rows` table (bits, codes, idx): its size-k stacks,
+    gathered straight from idx[k]."""
+    _, codes, idx = table
     for k in range(1, len(idx)):
-        whole = (k, k) == a.shape
         for start, stop in _gram_chunks(codes[k].size, 1, _chunk_rows(k, k)):
             sets = idx[k][start:stop]
-            out[codes[k][start:stop]] = block_norms(a[sets[:, :, None], sets[:, None, :]], whole)
-    return out
+            yield codes[k][start:stop], sets, sets
+
+
+def _mask_chunks(row_bits: np.ndarray, col_bits: np.ndarray):
+    """The (positions, rows, columns) chunks of `masked_norms` for mask rows:
+    one (row count, column count) bucket at a time, each chunk's coordinate
+    arrays gathered from its own masks.  Patterns with an empty side are in
+    no chunk."""
+    rows = np.asarray(row_bits) != 0
+    cols = np.asarray(col_bits) != 0
+    r_count, c_count = rows.sum(axis=1), cols.sum(axis=1)
+    key = r_count * (cols.shape[1] + 1) + c_count
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    for bucket in np.split(order, starts)[1:]:  # starts[0] == 0
+        r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
+        if r == 0 or c == 0:
+            continue
+        for start, stop in _gram_chunks(bucket.size, 1, _chunk_rows(r, c)):
+            sel = bucket[start:stop]
+            ri, ci = np.nonzero(rows[sel])[1], np.nonzero(cols[sel])[1]
+            yield sel, ri.reshape(-1, r), ci.reshape(-1, c)
 
 
 def masked_norms(a: np.ndarray, row_bits: np.ndarray, col_bits: np.ndarray) -> np.ndarray:
     """||P_sigma A P_tau|| for each (row mask, column mask) pair of rows.
 
-    The norm is that of the gathered |sigma| x |tau| submatrix.  Patterns are
-    bucketed by (row count, column count).  Gram-kernel buckets of one size
-    k = min(r, c) form one stack, normed in chunks of `_chunk_rows` of their
-    largest block: each bucket's part of a chunk by `scaled_grams`, the whole
-    chunk by one `gram_norms`.  The other buckets (the whole matrix, k > 64)
-    take `block_norms`' SVD per bucket; patterns with an empty side are 0.
-    When both sides are the very `bits` of a table `size_index_rows` has
-    built, the buckets are that table's size-k stacks, and `_table_norms`
-    norms them without sorting or scanning the masks, in the same chunks
-    and with the same bits.  Every chunk is normed on the calling thread.
-    Results come back in input order.
+    The norm is that of the gathered |sigma| x |tau| submatrix.  One loop
+    norms chunks of (positions, row indices, column indices), each chunk by
+    one `block_norms` call on blocks of one shape, at most `_chunk_rows` of
+    them and `_GRAM_CHUNK`.  When both sides are the very `bits` of a table
+    `size_index_rows` has built, the chunks are that table's size-k stacks
+    (`_table_chunks`), with no sorting or scanning of the masks; otherwise
+    they come from the masks one (row count, column count) bucket at a time
+    (`_mask_chunks`).  Patterns with an empty side are 0.  Every chunk is
+    normed on the calling thread, and results come back in input order.
     """
-    if row_bits is col_bits:
-        for table in _TABLES.values():
-            if table[0] is row_bits:
-                return _table_norms(a, table)
-    rows = np.asarray(row_bits) != 0
-    cols = np.asarray(col_bits) != 0
-    out = np.zeros(rows.shape[0])
-    if out.size == 0:
-        return out
-    r_count = rows.sum(axis=1)
-    c_count = cols.sum(axis=1)
-    n_r, n_c = rows.shape[1] + 1, cols.shape[1] + 1
-    key = (np.minimum(r_count, c_count) * n_r + r_count) * n_c + c_count
-    order = np.argsort(key, kind="stable")  # by k, then r, then c
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
-
-    def gather(sel: np.ndarray, r: int, c: int) -> np.ndarray:
-        ri = np.nonzero(rows[sel])[1].reshape(-1, r)
-        ci = np.nonzero(cols[sel])[1].reshape(-1, c)
-        return a[ri[:, :, None], ci[:, None, :]]
-
-    by_k = {}
-    for bucket in np.split(order, starts[1:]):
-        r, c = int(r_count[bucket[0]]), int(c_count[bucket[0]])
-        if r == 0 or c == 0:
-            continue
-        whole = (r, c) == a.shape
-        if gram_kernel(r, c, whole):  # runs, blocks, largest r c
-            group = by_k.setdefault(min(r, c), [[], 0, 0])
-            group[0].append((bucket, r, c))
-            group[1] += bucket.size
-            group[2] = max(group[2], r * c)
-            continue
-        step = _chunk_rows(r, c)
-        for start in range(0, bucket.size, step):
-            sel = bucket[start:start + step]
-            out[sel] = block_norms(gather(sel, r, c), whole)
-    for runs, count, rc in by_k.values():
-        for start, stop in _gram_chunks(count, 1, _chunk_rows(1, rc)):
-            parts, at = [], 0  # the (sel, r, c) runs of this chunk
-            for sel, r, c in runs:
-                if start < at + sel.size and at < stop:
-                    parts.append((sel[max(start - at, 0):stop - at], r, c))
-                at += sel.size
-            if len(parts) == 1:
-                sel = parts[0][0]
-                grams, shifts = scaled_grams(gather(*parts[0]))
-            else:
-                sel = np.concatenate([part[0] for part in parts])
-                grams, shifts = map(np.concatenate, zip(*(scaled_grams(gather(*part)) for part in parts)))
-            out[sel] = gram_norms(grams, shifts)
+    table = next((t for t in _TABLES.values() if t[0] is row_bits is col_bits), None)
+    chunks = _mask_chunks(row_bits, col_bits) if table is None else _table_chunks(table)
+    out = np.zeros(len(row_bits))
+    for at, ri, ci in chunks:
+        whole = (ri.shape[1], ci.shape[1]) == a.shape
+        out[at] = block_norms(a[ri[:, :, None], ci[:, None, :]], whole)
     return out
 
 

@@ -26,7 +26,6 @@ from .moments import (
     EXACT_BERNOULLI_MAX_N,
     SLACK,
     bernoulli_weights,
-    exact_pattern_values,
     masked_norms,
     moment,
     size_index_rows,
@@ -119,18 +118,6 @@ def subset_traces_and_norms(x: DenseMatrix, p: int):
     """(masks, trace((X_S)^p), ||X_S||) over all 2^n masks S; trace 0 at S = {}."""
     bits, traces = subset_traces(x, p)
     return bits, traces, masked_norms(x.data, bits, bits)
-
-
-def restricted_trace_moment(x: DenseMatrix, p: int, s: float) -> float:
-    """Exact E trace (R_s X R_s)^p by pattern enumeration."""
-    bits, traces = subset_traces(x, p)
-    return float(np.sum(bernoulli_weights(bits, s) * traces))
-
-
-def restricted_norm_moment_pth(x: DenseMatrix, p: int, s: float) -> float:
-    """Exact F(s) = E ||R_s X R_s||^p (the p-th power, not its root)."""
-    norms, weights = exact_pattern_values(x, Bernoulli(x.n_rows, s))
-    return float(np.sum(weights * norms ** p))
 
 
 def trace_moment_polynomial(x: DenseMatrix, p) -> PolyCoefficients:

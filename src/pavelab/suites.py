@@ -176,18 +176,3 @@ def _sandwich_draw(rng):
 def sandwich_instances(count: int, master: int | None = None):
     """(index, matrix, p) for the trace/norm sandwich: symmetric contractions."""
     return _seeded("SANDWICH", count, master, _sandwich_draw)
-
-
-def _oracle_draw(rng):
-    n = int(rng.integers(4, 11))
-    a = _rand_matrix(rng, n)
-    return a, int(rng.integers(1, n)), float(rng.uniform(0.2, 0.8))
-
-
-def oracle_instances(count: int, master: int | None = None):
-    """(index, matrix, k, rate) for the mc-vs-exact oracle comparisons."""
-    return _seeded("ORACLE", count, master, _oracle_draw)
-
-
-def hollow_instances(count: int, n: int, master: int) -> list[tuple[int, DenseMatrix]]:
-    return _seeded("hollow", count, master, lambda rng: (_rand_matrix(rng, n, hollow=True),))

@@ -27,14 +27,9 @@ from pavelab import (
 from pavelab.bounds import delta_sufficient
 from pavelab.cli import main
 from pavelab.inequalities import CASE_IDS, verify_inequality
-from pavelab.polynomials import restricted_trace_moment
-from pavelab.suites import (
-    SUITE_MASTER_SEEDS,
-    hollow_instances,
-    oracle_instances,
-    sandwich_instances,
-    suite_instances,
-)
+from pavelab.suites import SUITE_MASTER_SEEDS, sandwich_instances, suite_instances
+
+from .helpers import hollow_instances, oracle_instances, restricted_trace_moment
 
 MC_TRIALS = 10 ** 5
 ORACLE_MC_SEED = Seed(SUITE_MASTER_SEEDS["ORACLE_MC"])

@@ -929,6 +929,49 @@ class TestScan:
                          "--trials", trials, "--out", str(out_csv))
         assert code == EXIT_OK and out_csv.exists()
 
+    @pytest.mark.parametrize("trials", ["1", "0"])
+    def test_auto_trials_below_two_exit_2_from_the_header(self, capsys, tmp_path, monkeypatch, trials):
+        """Under `--method auto`, a square header past the exact cap is
+        enough to refuse fewer than two draws: the body is not read."""
+        n = moments.EXACT_BERNOULLI_MAX_N + 1
+        src, out_csv = tmp_path / "m.txt", tmp_path / "s.csv"
+        write_matrix(gen_ensemble("sign_normalized", n, Seed(5)), src)
+
+        def no_read(path):
+            raise AssertionError("scan read the matrix")
+
+        monkeypatch.setattr(fileio, "read_matrix", no_read)
+        code, out, err = run(capsys, "scan", str(src), "--vary", "rho", "--grid", "0.2",
+                             "--trials", trials, "--out", str(out_csv))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: need trials >= 2, got {trials}\n")
+        assert not out_csv.exists()
+
+    def test_auto_trials_below_two_at_the_exact_cap_run_exact(self, capsys, tmp_path):
+        n = moments.EXACT_BERNOULLI_MAX_N
+        src, out_csv = tmp_path / "m.txt", tmp_path / "s.csv"
+        write_matrix(gen_ensemble("sign_normalized", n, Seed(5)), src)
+        flags = ("--vary", "rho", "--grid", "0.2", "--out", str(out_csv))
+        assert run(capsys, "scan", str(src), *flags, "--method", "exact")[0] == EXIT_OK
+        exact = out_csv.read_bytes()
+        assert run(capsys, "scan", str(src), *flags, "--trials", "1")[0] == EXIT_OK
+        assert out_csv.read_bytes() == exact
+
+    @pytest.mark.parametrize("text", [None, "", "15\n", "15 x\n", "15 15 15\n", "-15 -15\n",
+                                      "15 16\n" + "1 " * 16 + "\n", "15\x0c15\n", b"\xff\xfe 15\n"])
+    def test_auto_trials_below_two_keep_the_read_error(self, capsys, tmp_path, text):
+        """A missing file, an empty one, a header that is malformed, not
+        UTF-8 or not square: `--trials 1` under auto gives the error line
+        of the default `--trials`."""
+        src = tmp_path / "m.txt"
+        if isinstance(text, bytes):
+            src.write_bytes(text)
+        elif text is not None:
+            src.write_text(text)
+        flags = ("scan", str(src), "--vary", "rho", "--grid", "0.2", "--out", str(tmp_path / "s.csv"))
+        want = run(capsys, *flags)
+        assert want[0] == EXIT_USAGE and want[2].startswith("error: ")
+        assert run(capsys, *flags, "--trials", "1") == want
+
 
 def _symmetric_contraction(n: int) -> DenseMatrix:
     m = Seed(4).rng("test:sym").uniform(-1.0, 1.0, (n, n))

@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 from pavelab import DenseMatrix, FormatError, Partition, PavelabError, fileio
 from pavelab.fileio import (
     matrix_from_text,
-    matrix_to_text,
-    partition_from_text,
     partition_to_text,
     read_config,
     read_matrix,
@@ -28,6 +26,7 @@ from pavelab.fileio import (
 )
 
 from . import oracles
+from .helpers import matrix_to_text, partition_from_text
 from .test_cli import _assert_no_children
 
 

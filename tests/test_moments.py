@@ -229,6 +229,15 @@ def test_exact_moment_rate_monotone(a, rate, p):
     assert low <= high + 1e-12
 
 
+def _one_blas_thread_env() -> dict:
+    """This process's environment at one BLAS thread, with pavelab's source
+    first on PYTHONPATH, for a child process."""
+    src = os.path.dirname(os.path.dirname(moments.__file__))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
 class TestMaskedNorms:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_jacobi_on_zero_masked_matrix(self, n):
@@ -302,9 +311,9 @@ class TestMaskedNorms:
         assert list(got[1:]) == [3.0e-200] * 3
 
     def test_one_kernel_call_per_gram_size(self, monkeypatch, rng):
-        """Buckets of equal k = min(r, c) share one eigenvalue stack, in the
-        masked kernel and in the pair space (whose stacks fit one chunk at
-        n = 5), with the same bits as one call per block."""
+        """The masked kernel makes one eigenvalue stack per (r, c) bucket,
+        and the pair space one per k = min(r, c) (its stacks fit one chunk
+        at n = 5); the masked norms are the bits of one call per block."""
         a = rng.uniform(-1.0, 1.0, (9, 9))
         shapes = [(3, 4), (4, 3), (3, 5), (4, 5), (5, 4), (2, 2)]
         rows, cols = np.zeros((60, 9), dtype=bool), np.zeros((60, 9), dtype=bool)
@@ -323,31 +332,57 @@ class TestMaskedNorms:
         monkeypatch.setattr(matrices, "top_eigenvalues", top_eigenvalues)
         monkeypatch.setattr(moments, "top_eigenvalues", top_eigenvalues)
         assert np.array_equal(masked_norms(a, rows, cols), alone)
-        assert sorted(calls) == [(10, 2, 2), (20, 4, 4), (30, 3, 3)]
+        assert sorted(calls) == [(10, 2, 2)] + [(10, 3, 3)] * 3 + [(10, 4, 4)] * 2
         calls.clear()
         moments.pair_space_norms(a[:5, :5])
         assert sorted(shape[1] for shape in calls) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_sampled_pair_spaces_bitwise_across_blas_thread_counts(self, monkeypatch, rng, tmp_path, n):
+        """A sampled BernoulliPair space holds several (r, c) buckets of each
+        k = min(r, c); its norms are the bits of one call per pattern at the
+        default `_BATCH` and at 1, here at the inherited BLAS thread setting
+        and in a child process at one thread.  The +-1 entries make integer
+        Grams, whose double top eigenvalues take the kernels' fallbacks."""
+        a = rng.choice([-1.0, 1.0], (n, n))
+        (rows, cols), _ = moments.sampled_patterns(BernoulliPair(n, 0.5), Seed(6).rng("pairs"), 2000)
+        r, c = rows.sum(axis=1), cols.sum(axis=1)
+        assert len(set(zip(r, c))) > len(set(np.minimum(r, c))) + n
+        alone = [masked_norms(a, rows[j:j + 1], cols[j:j + 1])[0] for j in range(len(rows))]
+        default = masked_norms(a, rows, cols)
+        monkeypatch.setattr(moments, "_BATCH", 1)
+        assert np.array_equal(default, alone) and np.array_equal(masked_norms(a, rows, cols), alone)
+        for name, array in (("a", a), ("rows", rows), ("cols", cols)):
+            np.save(tmp_path / f"{name}.npy", array)
+        script = (
+            "import sys, numpy as np\n"
+            "from pavelab import moments\n"
+            "a, rows, cols = (np.load(f'{sys.argv[1]}/{x}.npy') for x in ('a', 'rows', 'cols'))\n"
+            "np.save(sys.argv[1] + '/single.npy', moments.masked_norms(a, rows, cols))\n"
+        )
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=_one_blas_thread_env(), check=True)
+        assert np.array_equal(np.load(tmp_path / "single.npy"), default)
 
 
 class TestSizeIndexTable:
     """`size_index_rows` builds one read-only table per n, and `masked_norms`
     given its very `bits` on both sides norms the table's size-k stacks
-    (`_table_norms`) with the bits of the bucketed path."""
+    (`_table_chunks`) with the bits of the bucketed path."""
 
     @pytest.fixture(autouse=True)
     def table_calls(self, monkeypatch):
         """No table or exact norms built yet, and a list of the
-        `_table_norms` calls."""
+        `_table_chunks` calls."""
         monkeypatch.setattr(moments, "_TABLES", {})
         monkeypatch.setattr(moments, "_last_norms", None)
         calls = []
-        real = moments._table_norms
+        real = moments._table_chunks
 
-        def counting(a, table):
+        def counting(table):
             calls.append(len(table[1]) - 1)
-            return real(a, table)
+            return real(table)
 
-        monkeypatch.setattr(moments, "_table_norms", counting)
+        monkeypatch.setattr(moments, "_table_chunks", counting)
         return calls
 
     @staticmethod
@@ -452,11 +487,8 @@ class TestSizeIndexTable:
             "a, bits = np.load(sys.argv[1]), moments.mask_bits(14)\n"
             "np.save(sys.argv[2], moments.masked_norms(a, bits, bits))\n"
         )
-        src = os.path.dirname(os.path.dirname(moments.__file__))
-        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
         subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.npy"), str(tmp_path / "single.npy")],
-                       env=env, check=True)
+                       env=_one_blas_thread_env(), check=True)
         table, bucketed = self._both(a, 14)
         assert np.array_equal(np.load(tmp_path / "single.npy"), table)
         assert np.array_equal(table, bucketed)

@@ -18,13 +18,9 @@ from pavelab import (
     spectral_norm,
     trace_moment_polynomial,
 )
-from pavelab.polynomials import (
-    polynomial_sup_unit_interval,
-    restricted_norm_moment_pth,
-    restricted_trace_moment,
-    subset_traces_and_norms,
-)
+from pavelab.polynomials import polynomial_sup_unit_interval, subset_traces_and_norms
 
+from .helpers import restricted_norm_moment_pth, restricted_trace_moment
 from .oracles import interpolated_trace_polynomial
 
 
