@@ -76,15 +76,14 @@ def _cmd_gen(args) -> int:
         raise ParameterError(f"unknown ensemble kind {args.kind!r}")
     seed = parse_seed(args.seed)
     bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
-    fileio.check_directory(args.out)  # before the draw, which is most of the work
-    a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
-    # this process writes while a forked child computes the printed norm
-    outcomes, error = forks.split(
-        [functools.partial(fileio.write_matrix, a, args.out), functools.partial(spectral_norm, a)],
-        "gen",
-    )
-    if error is not None:
-        raise error
+    # opened before the draw; this process writes while a forked child norms,
+    # and the target is replaced only once both have succeeded
+    with fileio.replacing(args.out) as out:
+        a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
+        write = functools.partial(out.writelines, fileio._matrix_lines(a))
+        outcomes, error = forks.split([write, functools.partial(spectral_norm, a)], "gen")
+        if error is not None:
+            raise error
     norm = outcomes[1]
     entry = max_abs_entry(a)
     unit = abs(norm - 1.0) <= UNIT_NORM_TOL
@@ -272,12 +271,11 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _mc_by_header(path: str) -> bool:
-    """Whether `--method auto` picks Monte Carlo for the matrix file at
-    `path` by its header alone: False where the header is not that of a
-    square matrix past the exact cap (the read then decides)."""
+def _order_past_cap(path: str) -> int | None:
+    """n for the matrix file at `path` when its header is that of a square
+    n x n matrix past the exact cap, else None (the read then decides)."""
     head = fileio.read_header(path)
-    return head is not None and head[0] == head[1] > EXACT_BERNOULLI_MAX_N
+    return head[0] if head is not None and head[0] == head[1] > EXACT_BERNOULLI_MAX_N else None
 
 
 def _cmd_scan(args) -> int:
@@ -298,41 +296,44 @@ def _cmd_scan(args) -> int:
     # auto picks Monte Carlo for a square header past the exact cap
     if args.vary in ("rho", "delta") and args.p <= 0:
         raise ParameterError(f"p must be positive, got {args.p}")
-    if args.trials < 2 and (
-        args.method == "mc" or args.method == "auto" and _mc_by_header(args.input)
-    ):
+    if args.vary == "p" and not 0.0 <= args.rate <= 1.0:
+        raise ParameterError(f"rate must be in [0, 1], got {args.rate}")
+    past_cap = _order_past_cap(args.input)
+    if args.trials < 2 and (args.method == "mc" or args.method == "auto" and past_cap):
         raise ParameterError(f"need trials >= 2, got {args.trials}")
-    a = fileio.read_matrix(args.input)
-    if not a.is_square:
-        raise ParameterError("scan needs a square matrix")
-    n = a.n_rows
-    method = args.method
-    if method == "auto":
-        method = "exact" if n <= EXACT_BERNOULLI_MAX_N else "mc"
-    mu, norm = max_abs_entry(a), spectral_norm(a)
-    rho_ref = bounds.reference_rate(n, args.gamma) if n >= 3 else math.nan
-    lam = bounds.extrapolation_exponent(args.gamma)
-    rows = []
-    for i, value in enumerate(grid):
-        rate, p = (value, args.p) if args.vary in ("rho", "delta") else (args.rate, value)
-        est = moment(a, Bernoulli(n, rate), p, method, args.trials, seed, 2 * i)
-        try:
-            s3 = bounds.step3_bound(mu, rate, n)
-        except ParameterError:
-            s3 = math.nan
-        try:
-            _, constant = extrapolation_hypotheses(a, norm, rate, rho_ref, lam, p)
-        except PreconditionError:
-            extrap = math.nan
-        else:
-            ref = moment(a, Bernoulli(n, rho_ref), p, method, args.trials, seed, 2 * i + 1)
-            extrap = bounds.extrapolation_bound(constant, rate, rho_ref, lam, ref.value)
-        rows.append(
-            f"{args.vary},{_fmt(value)},{'%.12g' % p},{_fmt(est.value)},"
-            f"{_fmt(est.stderr)},{est.trials},{seed.master},{_fmt(s3)},{_fmt(extrap)}"
-        )
-    fileio.write_text(args.out, "".join(line + "\n" for line in [SCAN_HEADER, *rows]))
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    if args.method == "exact" and past_cap:
+        raise CapacityError(f"exact Bernoulli enumeration needs 2^{past_cap} patterns")
+    with fileio.replacing(args.out) as out:
+        a = fileio.read_matrix(args.input)
+        if not a.is_square:
+            raise ParameterError("scan needs a square matrix")
+        n = a.n_rows
+        method = args.method
+        if method == "auto":
+            method = "exact" if n <= EXACT_BERNOULLI_MAX_N else "mc"
+        mu, norm = max_abs_entry(a), spectral_norm(a)
+        rho_ref = bounds.reference_rate(n, args.gamma) if n >= 3 else math.nan
+        lam = bounds.extrapolation_exponent(args.gamma)
+        out.write(SCAN_HEADER + "\n")
+        for i, value in enumerate(grid):
+            rate, p = (value, args.p) if args.vary in ("rho", "delta") else (args.rate, value)
+            est = moment(a, Bernoulli(n, rate), p, method, args.trials, seed, 2 * i)
+            try:
+                s3 = bounds.step3_bound(mu, rate, n)
+            except ParameterError:
+                s3 = math.nan
+            try:
+                _, constant = extrapolation_hypotheses(a, norm, rate, rho_ref, lam, p)
+            except PreconditionError:
+                extrap = math.nan
+            else:
+                ref = moment(a, Bernoulli(n, rho_ref), p, method, args.trials, seed, 2 * i + 1)
+                extrap = bounds.extrapolation_bound(constant, rate, rho_ref, lam, ref.value)
+            out.write(
+                f"{args.vary},{_fmt(value)},{'%.12g' % p},{_fmt(est.value)},"
+                f"{_fmt(est.stderr)},{est.trials},{seed.master},{_fmt(s3)},{_fmt(extrap)}\n"
+            )
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return EXIT_OK
 
 

@@ -25,20 +25,20 @@ rows to the file.
 Partition format: one line per block of space-separated indices, blocks
 ordered by smallest element.
 
-Every writer goes through `write_text`, which replaces the target atomically.
+Every writer goes through `replacing`, which replaces the target atomically
+once the block that writes it succeeds.
 A file that does not decode as text is a `FormatError` naming the file.
 """
 from __future__ import annotations
 
 import codecs
 import contextlib
-import errno
 import functools
 import itertools
 import os
 import stat
 import warnings
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -235,23 +235,23 @@ def _read_text(path: str | os.PathLike) -> str:
             ) from None
 
 
-def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
-    """Write `text`, a string or an iterable of strings, to `path` atomically.
+@contextlib.contextmanager
+def replacing(path: str | os.PathLike) -> Iterator[TextIO]:
+    """A text file, open for writing, that replaces `path` when the block
+    exits cleanly.
 
-    The text goes to a new temp file in the target's directory, created with
-    the mode of the existing target (or the mode a plain open() would give
-    a new file), which is then renamed onto the target; a failure mid-write,
-    in writing or in producing the text, leaves any previous file untouched
-    and no temp file behind.  An existing target that open() would not write
-    (a read-only file) is refused the same way.  A symlink keeps pointing at
-    the new file; a hard link to the old file keeps the old contents.  A
-    target that exists but is no regular file (/dev/stdout, a pipe) cannot be
-    replaced and is written in place.
+    On entry it is a new temp file in the target's directory, with the mode
+    of the existing target (or the mode a plain open() would give a new
+    file), so each error the target gives (a missing directory, a read-only
+    file open() would refuse) is raised there, naming `path`.  Any error in
+    the block leaves a previous file untouched and no temp file behind.  A
+    symlink keeps pointing at the new file; a hard link to the old file
+    keeps the old contents.  A target that exists but is no regular file
+    (/dev/stdout, a pipe) cannot be replaced and is opened in place.
     """
-    pieces = [text] if isinstance(text, str) else text
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as fh:
-            fh.writelines(pieces)
+            yield fh
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -270,7 +270,7 @@ def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
         with open(fd, "w") as fh:
             if mode is not None:
                 os.fchmod(fd, mode)
-            fh.writelines(pieces)
+            yield fh
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -278,17 +278,9 @@ def write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
         raise
 
 
-def check_directory(path: str | os.PathLike) -> None:
-    """Raise the OSError `write_text` raises for `path` when the target's
-    directory is missing or no directory, before any work on the text."""
-    head = os.path.dirname(os.path.realpath(path))
-    if not os.path.isdir(head):
-        code = errno.ENOTDIR if os.path.exists(head) else errno.ENOENT
-        raise OSError(code, os.strerror(code), os.fspath(path))
-
-
 def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
-    write_text(path, _matrix_lines(a))
+    with replacing(path) as fh:
+        fh.writelines(_matrix_lines(a))
 
 
 def read_header(path: str | os.PathLike) -> tuple[int, int] | None:
@@ -322,7 +314,8 @@ def partition_to_text(part: Partition) -> str:
 
 
 def write_partition(part: Partition, path: str | os.PathLike) -> None:
-    write_text(path, partition_to_text(part))
+    with replacing(path) as fh:
+        fh.write(partition_to_text(part))
 
 
 def read_config(path: str | os.PathLike) -> dict:

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import math
 import os
 import signal
@@ -158,7 +159,8 @@ class TestGenNormHelper:
         """A missing directory, a directory, and a rename that fails after
         the temp file is written: exit 2, no temp file, and a norm child
         slower than the failed write is reaped before main returns.  The
-        missing directory is refused before the draw, so nothing forks."""
+        missing directory and the directory are refused when the output is
+        opened, before the draw, so nothing forks."""
         if target == "m.txt":
             def no_space(*args):
                 raise OSError(errno.ENOSPC, "No space left on device")
@@ -168,18 +170,21 @@ class TestGenNormHelper:
         forks = self._forks(monkeypatch)
         code, out, err = run(capsys, "gen", "sign", "130", "--out", str(tmp_path / target))
         assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
-        assert forks == ([] if target == "missing/m.txt" else [1])
+        assert forks == ([1] if target == "m.txt" else [])
         _assert_no_children()
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_kills_the_norm_child(self, capsys, tmp_path, monkeypatch):
-        """The write is this process's first call: when it fails (here its
-        rename), the norm is not needed, so its child is killed instead of
-        awaited."""
-        def no_space(*args):
+        """The write is this process's first call: when it fails (here the
+        disk fills after a few rows), the norm is not needed, so its child
+        is killed instead of awaited."""
+        lines = fileio._matrix_lines
+
+        def no_space(a):
+            yield from itertools.islice(lines(a), 3)
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(fileio.os, "replace", no_space)
+        monkeypatch.setattr(fileio, "_matrix_lines", no_space)
         self._norm_in_child(monkeypatch, lambda: time.sleep(60))
         forks = self._forks(monkeypatch)
         start = time.perf_counter()
@@ -190,14 +195,39 @@ class TestGenNormHelper:
         _assert_no_children()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("failure, cpus", [("killed", 2), ("memory", 2), ("memory", 1)])
+    def test_failed_norm_keeps_the_previous_target(
+        self, capsys, tmp_path, monkeypatch, failure, cpus
+    ):
+        """A norm child that is killed, or a norm that runs out of memory (in
+        the child, or on one CPU in this process after the write): exit 3,
+        and a previous target keeps its bytes, with no temp file left."""
+        path = tmp_path / "m.txt"
+        path.write_text("previous\n")
+        if failure == "killed":
+            self._norm_in_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        else:
+            def no_room(a):
+                raise MemoryError("no room for the SVD")
+
+            monkeypatch.setattr(cli, "spectral_norm", no_room)
+        forks = self._forks(monkeypatch, cpus)
+        code, out, err = run(capsys, "gen", "sign", "64", "--out", str(path))
+        assert code == EXIT_CAPACITY and out == "" and err.startswith("error: ")
+        assert forks == ([1] if cpus == 2 else [])
+        _assert_no_children()
+        assert path.read_bytes() == b"previous\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["m.txt"]
+
     @pytest.mark.parametrize("target, errno_name", [
-        ("missing/m.txt", "ENOENT"), ("file/m.txt", "ENOTDIR"),
+        ("missing/m.txt", "ENOENT"), ("file/m.txt", "ENOTDIR"), (".", "EISDIR"),
     ])
     def test_missing_directory_exits_2_before_the_draw(
         self, capsys, tmp_path, monkeypatch, target, errno_name
     ):
-        """An output directory that is missing, or a file, is refused before
-        the matrix is drawn, with the `error:` line the write would give."""
+        """An output directory that is missing, or a file, and an output that
+        is a directory are refused before the matrix is drawn, with the
+        `error:` line the write would give."""
         (tmp_path / "file").write_text("")
         drawn = []
         monkeypatch.setattr(cli, "gen_ensemble", lambda *args, **kwargs: drawn.append(args))
@@ -762,6 +792,20 @@ def test_no_thread_starts_at_worker_counts(capsys, tmp_path, monkeypatch):
     assert os.path.getsize(big) >= fileio._SHARE_BYTES
 
 
+# matrix files whose header the read refuses (None: no file), at n = 15 past the exact cap
+_BAD_HEADERS = [None, "", "15\n", "15 x\n", "15 15 15\n", "-15 -15\n",
+                "15 16\n" + "1 " * 16 + "\n", "15\x0c15\n", b"\xff\xfe 15\n"]
+
+
+def _bad_header_file(tmp_path, text):
+    src = tmp_path / "m.txt"
+    if isinstance(text, bytes):
+        src.write_bytes(text)
+    elif text is not None:
+        src.write_text(text)
+    return src
+
+
 class TestScan:
     def test_rate_one_estimate_is_spectral_norm(self, capsys, tmp_path):
         src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
@@ -956,17 +1000,12 @@ class TestScan:
         assert run(capsys, "scan", str(src), *flags, "--trials", "1")[0] == EXIT_OK
         assert out_csv.read_bytes() == exact
 
-    @pytest.mark.parametrize("text", [None, "", "15\n", "15 x\n", "15 15 15\n", "-15 -15\n",
-                                      "15 16\n" + "1 " * 16 + "\n", "15\x0c15\n", b"\xff\xfe 15\n"])
+    @pytest.mark.parametrize("text", _BAD_HEADERS)
     def test_auto_trials_below_two_keep_the_read_error(self, capsys, tmp_path, text):
         """A missing file, an empty one, a header that is malformed, not
         UTF-8 or not square: `--trials 1` under auto gives the error line
         of the default `--trials`."""
-        src = tmp_path / "m.txt"
-        if isinstance(text, bytes):
-            src.write_bytes(text)
-        elif text is not None:
-            src.write_text(text)
+        src = _bad_header_file(tmp_path, text)
         flags = ("scan", str(src), "--vary", "rho", "--grid", "0.2", "--out", str(tmp_path / "s.csv"))
         want = run(capsys, *flags)
         assert want[0] == EXIT_USAGE and want[2].startswith("error: ")
@@ -1090,6 +1129,63 @@ class TestScanEnumeratesOnce:
         assert len(rows) == len(grid.split(","))
         assert any(math.isfinite(float(row[8])) for row in rows)  # rho_ref rows ran
         assert masked_calls == [1 << 10]
+
+
+class TestScanRefusesBeforeTheRead:
+    """Errors `scan` can tell from its flags, the matrix file's header or
+    the output path are raised without reading the matrix."""
+
+    @pytest.fixture
+    def no_read(self, monkeypatch):
+        def no_read(path):
+            raise AssertionError("scan read the matrix")
+
+        monkeypatch.setattr(fileio, "read_matrix", no_read)
+
+    def _src(self, tmp_path, n):
+        src = tmp_path / "m.txt"
+        write_matrix(gen_ensemble("sign_normalized", n, Seed(5)), src)
+        return src
+
+    @pytest.mark.parametrize("rate", ["1.5", "-0.25"])
+    def test_rate_outside_unit_interval(self, capsys, tmp_path, no_read, rate):
+        src, out_csv = self._src(tmp_path, 8), tmp_path / "s.csv"
+        code, out, err = run(capsys, "scan", str(src), "--vary", "p", "--grid", "2,4",
+                             "--rate", rate, "--out", str(out_csv))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: rate must be in [0, 1], got {float(rate)}\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("vary, grid", [("rho", "0.1"), ("p", "2")])
+    def test_exact_past_the_cap_from_the_header(self, capsys, tmp_path, no_read, vary, grid):
+        n = moments.EXACT_BERNOULLI_MAX_N + 1
+        src, out_csv = self._src(tmp_path, n), tmp_path / "s.csv"
+        code, out, err = run(capsys, "scan", str(src), "--vary", vary, "--grid", grid,
+                             "--rate", "0.5", "--method", "exact", "--out", str(out_csv))
+        assert code == EXIT_CAPACITY and out == ""
+        assert err == f"error: exact Bernoulli enumeration needs 2^{n} patterns\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("target", ["missing/s.csv", "."])
+    def test_unwritable_out(self, capsys, tmp_path, no_read, target):
+        src = self._src(tmp_path, 8)
+        out_csv = str(tmp_path / target)
+        code, out, err = run(capsys, "scan", str(src), "--vary", "rho", "--grid", "0.2",
+                             "--out", out_csv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {out_csv!r} (run scan)\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["m.txt"]
+
+    @pytest.mark.parametrize("text", _BAD_HEADERS)
+    def test_exact_keeps_the_read_error(self, capsys, tmp_path, text):
+        """A missing file, an empty one, a header that is malformed, not
+        UTF-8 or not square: `--method exact` gives the error line of the
+        read, as Monte Carlo does."""
+        src = _bad_header_file(tmp_path, text)
+        flags = ("scan", str(src), "--vary", "rho", "--grid", "0.2", "--out", str(tmp_path / "s.csv"))
+        want = run(capsys, *flags, "--method", "mc")
+        assert want[0] == EXIT_USAGE and want[2].startswith("error: ")
+        assert run(capsys, *flags, "--method", "exact") == want
 
 
 class TestAtomicWrites:

@@ -4,6 +4,7 @@ import itertools
 import os
 import signal
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -28,6 +29,7 @@ from pavelab.fileio import (
 from . import oracles
 from .helpers import matrix_to_text, partition_from_text
 from .test_cli import _assert_no_children
+from .test_moments import _one_blas_thread_env
 
 
 def test_matrix_round_trip_exact(rng, tmp_path):
@@ -738,3 +740,41 @@ class TestSplitReadFailures:
         with pytest.raises(KeyboardInterrupt):
             _split_outcome(monkeypatch, path, 3)
         assert time.perf_counter() - start < 30
+
+
+def _read_in_ascii_locale(path) -> str:
+    """What `read_matrix(path)` gives in a child process under the C locale,
+    with locale coercion and UTF-8 mode off, where text is ASCII: the hex of
+    the parsed bits, or the `FormatError`'s message."""
+    env = dict(_one_blas_thread_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    script = (
+        "import locale, sys\n"
+        "from pavelab import FormatError, fileio\n"
+        "print(locale.getpreferredencoding(False))\n"
+        "try:\n"
+        "    print(fileio.read_matrix(sys.argv[1]).data.tobytes().hex())\n"
+        "except FormatError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    encoding, result = proc.stdout.splitlines()
+    assert encoding == "ANSI_X3.4-1968"
+    return result
+
+
+class TestAsciiLocale:
+    """Under a non-UTF-8 locale the shares refuse every file, and the whole
+    text, decoded in the locale's encoding, decides."""
+
+    def test_well_formed_file_gives_the_utf8_bits(self, rng, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix(DenseMatrix(rng.uniform(-1, 1, (70, 5))), path)
+        assert _read_in_ascii_locale(path) == read_matrix(path).data.tobytes().hex()
+
+    def test_non_ascii_byte_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2\n1 2\n3 \xc3\xa94\n")
+        assert _read_in_ascii_locale(path) == (
+            f"{path}: not ascii text (ordinal not in range(128) at byte 10)"
+        )
