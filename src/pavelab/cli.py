@@ -75,12 +75,14 @@ def _cmd_gen(args) -> int:
     if kind is None:
         raise ParameterError(f"unknown ensemble kind {args.kind!r}")
     seed = parse_seed(args.seed)
+    if args.gamma <= 0:
+        raise ParameterError(f"gamma must be positive, got {args.gamma}")
     bound = bounds.mu_bound(args.n, args.gamma) if args.n >= 3 else math.nan
     # opened before the draw; this process writes while a forked child norms,
     # and the target is replaced only once both have succeeded
     with fileio.replacing(args.out) as out:
         a = gen_ensemble(kind, args.n, seed, mu=args.mu, index=args.index)
-        write = functools.partial(out.writelines, fileio._matrix_lines(a))
+        write = functools.partial(fileio.write_matrix, a, out)
         outcomes, error = forks.split([write, functools.partial(spectral_norm, a)], "gen")
         if error is not None:
             raise error
@@ -146,32 +148,33 @@ def _cmd_pave(args) -> int:
         raise ParameterError(f"need at least one trial, got {args.trials}")
     if args.eps is not None and args.eps <= 0:
         raise ParameterError(f"eps must be positive, got {args.eps}")
-    a = fileio.read_matrix(args.input)
-    if not a.is_square:
-        raise ParameterError("paving needs a square matrix")
     seed = parse_seed(args.seed)
-    norm = spectral_norm(a)  # first: an overflowing norm exits before any output
-    n = a.n_rows
-    padded = pad_to_multiple(a, args.m)
-    if padded.n_rows != n:
-        print(f"warning: padded {n} -> {padded.n_rows} so that m={args.m} divides n")
-    result = _pave(padded, args.m, args.trials, seed)
-    part = _restrict_partition(result.partition, n)
-    quality = paving_quality(a, part)
-    print(f"n={n} m={args.m} trials={args.trials} seed={seed.master}")
-    print(f"spectral_norm={_fmt(norm)}")
-    print(f"quality={_fmt(quality)}")
-    print(f"quality_padded={_fmt(result.quality)}")
-    print(f"quality_ratio={_fmt(quality / norm if norm > 0 else 0.0)}")
-    print(f"best_trial={result.best_trial_index}")
-    if args.eps is not None:
-        t3, t6 = 3.0 * args.eps, 6.0 * args.eps
-        print(
-            f"eps={_fmt(args.eps)} threshold_3eps={_fmt(t3)} "
-            f"holds_3eps={_flag(quality <= t3)} threshold_6eps={_fmt(t6)} "
-            f"holds_6eps={_flag(quality <= t6)}"
-        )
-    fileio.write_partition(part, args.out)
+    with fileio.replacing(args.out) as out:  # before the read
+        a = fileio.read_matrix(args.input)
+        if not a.is_square:
+            raise ParameterError("paving needs a square matrix")
+        norm = spectral_norm(a)  # first: an overflowing norm exits before any output
+        n = a.n_rows
+        padded = pad_to_multiple(a, args.m)
+        if padded.n_rows != n:
+            print(f"warning: padded {n} -> {padded.n_rows} so that m={args.m} divides n")
+        result = _pave(padded, args.m, args.trials, seed)
+        part = _restrict_partition(result.partition, n)
+        quality = paving_quality(a, part)
+        print(f"n={n} m={args.m} trials={args.trials} seed={seed.master}")
+        print(f"spectral_norm={_fmt(norm)}")
+        print(f"quality={_fmt(quality)}")
+        print(f"quality_padded={_fmt(result.quality)}")
+        print(f"quality_ratio={_fmt(quality / norm if norm > 0 else 0.0)}")
+        print(f"best_trial={result.best_trial_index}")
+        if args.eps is not None:
+            t3, t6 = 3.0 * args.eps, 6.0 * args.eps
+            print(
+                f"eps={_fmt(args.eps)} threshold_3eps={_fmt(t3)} "
+                f"holds_3eps={_flag(quality <= t3)} threshold_6eps={_fmt(t6)} "
+                f"holds_6eps={_flag(quality <= t6)}"
+            )
+        fileio.write_partition(part, out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -506,7 +509,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a request no capacity cap bounds, e.g. --trials
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ParameterError, FormatError, PavelabError) as exc:
+    except PavelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

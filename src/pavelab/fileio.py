@@ -25,8 +25,8 @@ rows to the file.
 Partition format: one line per block of space-separated indices, blocks
 ordered by smallest element.
 
-Every writer goes through `replacing`, which replaces the target atomically
-once the block that writes it succeeds.
+The command opens the output with `replacing`, which replaces the target
+atomically once its block succeeds; the writers write into it.
 A file that does not decode as text is a `FormatError` naming the file.
 """
 from __future__ import annotations
@@ -278,9 +278,9 @@ def replacing(path: str | os.PathLike) -> Iterator[TextIO]:
         raise
 
 
-def write_matrix(a: DenseMatrix, path: str | os.PathLike) -> None:
-    with replacing(path) as fh:
-        fh.writelines(_matrix_lines(a))
+def write_matrix(a: DenseMatrix, out: TextIO) -> None:
+    """Write `a` into `out`, the open output (the command's `replacing`)."""
+    out.writelines(_matrix_lines(a))
 
 
 def read_header(path: str | os.PathLike) -> tuple[int, int] | None:
@@ -313,9 +313,9 @@ def partition_to_text(part: Partition) -> str:
     return "\n".join(" ".join(str(i) for i in b.indices) for b in part.blocks) + "\n"
 
 
-def write_partition(part: Partition, path: str | os.PathLike) -> None:
-    with replacing(path) as fh:
-        fh.write(partition_to_text(part))
+def write_partition(part: Partition, out: TextIO) -> None:
+    """Write `part` into `out`, the open output (the command's `replacing`)."""
+    out.write(partition_to_text(part))
 
 
 def read_config(path: str | os.PathLike) -> dict:

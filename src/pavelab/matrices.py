@@ -251,7 +251,7 @@ _NEAR_DOUBLE = 1e-3
 _P_RANGE = 2.0 ** -330, 2.0 ** 330
 
 
-def _top_eigenvalues_3(blocks: np.ndarray) -> np.ndarray:
+def _top_eigenvalues_3(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lambda_max of each symmetric 3 x 3 block (lower triangle), in closed
     form (O. K. Smith, CACM 4(4), 1961).
 
@@ -259,9 +259,9 @@ def _top_eigenvalues_3(blocks: np.ndarray) -> np.ndarray:
     r = det(D) / (2 p^3), lambda_max = q + 2p cos(arccos(r) / 3); one Newton
     step on det(D - mu I) then polishes mu = lambda_max - q.  D is made
     traceless again after q's rounding, so that the start lies above the
-    second eigenvalue even for a near-scalar block.  Blocks with p == 0, p
-    out of range, a near-double top eigenvalue or a non-finite value take
-    `eigvalsh`, so each value depends only on its own block.
+    second eigenvalue even for a near-scalar block.  Returns (lam, ok): a
+    block with p == 0, p out of range, a near-double top eigenvalue or a
+    non-finite value is not ok, and `top_eigenvalues` gives it `eigvalsh`.
     """
     a00, a10, a11 = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
     a20, a21, a22 = blocks[:, 2, 0], blocks[:, 2, 1], blocks[:, 2, 2]
@@ -282,10 +282,7 @@ def _top_eigenvalues_3(blocks: np.ndarray) -> np.ndarray:
         e01 = e0 * e1
         f = e01 * e2 - e0 * s21 - e1 * s20 - e2 * s10 + t  # det(D - mu I)
         lam = q + (s + (mu + f / (e01 + (e0 + e1) * e2 - off)))
-    if not ok.all():
-        bad = ~ok
-        lam[bad] = np.linalg.eigvalsh(blocks[bad])[:, -1]
-    return lam
+    return lam, ok
 
 
 # The k = 4 kernel reads a block's lower triangle as the rows of a (10, B)
@@ -324,7 +321,7 @@ def _det_and_adjugate_trace(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ((t[0] + t[1]) + (t[2] + t[3])) - (t[4] + t[5]), (c[0] + c[1]) + (c[2] + c[3])
 
 
-def _top_eigenvalues_4(blocks: np.ndarray) -> np.ndarray:
+def _top_eigenvalues_4(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lambda_max of each symmetric 4 x 4 block (lower triangle) by Laguerre's
     method on its characteristic polynomial.
 
@@ -334,10 +331,10 @@ def _top_eigenvalues_4(blocks: np.ndarray) -> np.ndarray:
     det(D).  Its roots are real, so four Laguerre steps from the traceless
     upper bound sqrt(3/4) ||D||_F descend monotonically to the largest, and
     one Newton step polishes it with a determinant and derivative formed
-    from the entries of D - mu I.  Blocks whose step has not converged (a
-    near-double top eigenvalue, a value that is not finite) or whose D is
-    zero or out of range take `eigvalsh`, so each value depends only on its
-    own block.
+    from the entries of D - mu I.  Returns (lam, ok): a block whose step
+    has not converged (a near-double top eigenvalue, a value that is not
+    finite) or whose D is zero or out of range is not ok, and
+    `top_eigenvalues` gives it `eigvalsh`.
     """
     x = blocks.reshape(-1, 16).T[_LOWER_4]
     with np.errstate(all="ignore"):  # blocks that divide by 0 or overflow fall back
@@ -366,18 +363,15 @@ def _top_eigenvalues_4(blocks: np.ndarray) -> np.ndarray:
         step = f / adj
         lam = q + np.ldexp(s + (mu + step), e)
         ok = (np.abs(step) <= _CONVERGED_4 * start) & (size > _D_RANGE[0]) & (size < _D_RANGE[1])
-    if not ok.all():
-        bad = ~ok
-        lam[bad] = np.linalg.eigvalsh(blocks[bad])[:, -1]
-    return lam
+    return lam, ok
 
 
 def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """lambda_max of each symmetric matrix of a (B, k, k) stack, k >= 1.
 
-    k <= 3 use closed forms (k = 3 with the near-double fallback of
-    `_top_eigenvalues_3`), k = 4 the Laguerre kernel `_top_eigenvalues_4`
-    with its fallback; larger k go through `eigvalsh`, which reads the lower
+    k <= 3 use closed forms (k = 3 `_top_eigenvalues_3`), k = 4 the Laguerre
+    kernel `_top_eigenvalues_4`.  The blocks either kernel does not mark ok,
+    and every block of larger k, go through `eigvalsh`, which reads the lower
     triangle.  The kernel depends on k alone and each value only on its own
     block.
     """
@@ -387,11 +381,13 @@ def top_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     if k == 2:
         p, q, s = blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1]
         return 0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
-    if k == 3:
-        return _top_eigenvalues_3(blocks)
-    if k == 4:
-        return _top_eigenvalues_4(blocks)
-    return np.linalg.eigvalsh(blocks)[:, -1]
+    if k > 4:
+        return np.linalg.eigvalsh(blocks)[:, -1]
+    lam, ok = (_top_eigenvalues_3 if k == 3 else _top_eigenvalues_4)(blocks)
+    if not ok.all():
+        bad = ~ok
+        lam[bad] = np.linalg.eigvalsh(blocks[bad])[:, -1]
+    return lam
 
 
 def gram_kernel(r: int, c: int, whole: bool) -> bool:

@@ -1,6 +1,7 @@
 """Test-only helpers built on pavelab: the acceptance suites' oracle and
-hollow draws, the matrix writer's text and the partition parser, and exact
-trace and norm moments of R_s X R_s by pattern enumeration.  No package
+hollow draws, the matrix writer's text, a writer run on a path, the
+partition parser, and exact trace and norm moments of R_s X R_s by pattern
+enumeration.  No package
 code calls them, so they live beside the tests that do."""
 from __future__ import annotations
 
@@ -30,6 +31,13 @@ def hollow_instances(count: int, n: int, master: int) -> list[tuple[int, DenseMa
 def matrix_to_text(a: DenseMatrix) -> str:
     """The text `fileio.write_matrix` writes for `a`."""
     return "".join(fileio._matrix_lines(a))
+
+
+def write_path(writer, obj, path) -> None:
+    """`writer(obj, out)` into `fileio.replacing(path)`, as a command writes
+    its `--out`: `fileio.write_matrix` or `fileio.write_partition` on a path."""
+    with fileio.replacing(path) as out:
+        writer(obj, out)
 
 
 def partition_from_text(text: str, n: int) -> Partition:

@@ -211,3 +211,19 @@ class TestTheoremPipeline:
         for key in ("mu =", "rho =", "lambda =", "extrap_bound =", "final_bound =",
                     "log2_n_threshold ="):
             assert key in text
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: step3_bound(-0.1, 0.1, 64), "mu and rho must be nonnegative"),
+    (lambda: step3_bound(0.1, -0.1, 64), "mu and rho must be nonnegative"),
+    (lambda: delta_sufficient(0.0, 0.5), "gamma must be positive, got 0.0"),
+    (lambda: delta_sufficient(1.0, 0.0), "eps must be in (0, 1), got 0.0"),
+    (lambda: delta_sufficient(1.0, 1.0), "eps must be in (0, 1), got 1.0"),
+    (lambda: theorem_pipeline(64, 1.0, delta=0.0), "delta must be in (0, 1), got 0.0"),
+    (lambda: theorem_pipeline(64, 1.0, delta=1.5), "delta must be in (0, 1), got 1.5"),
+], ids=["step3-mu", "step3-rho", "delta-gamma", "delta-eps-0", "delta-eps-1",
+        "pipeline-delta-0", "pipeline-delta-1.5"])
+def test_refusals(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert type(exc.value) is ParameterError and str(exc.value) == message

@@ -22,6 +22,7 @@ from pavelab.fileio import read_matrix, write_matrix
 from pavelab.sampling import Bernoulli, gen_ensemble
 
 from . import oracles
+from .helpers import write_path
 
 
 def run(capsys, *argv):
@@ -83,6 +84,20 @@ class TestGen:
         )
         assert code == EXIT_USAGE and "error" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("n", ["1", "2", "3"])
+    def test_nonpositive_gamma_exits_2_at_every_n(self, capsys, tmp_path, monkeypatch, n):
+        """`mu_bound`, which refuses the gamma too, runs only from n = 3; the
+        flag is refused at every n before the output is opened."""
+        def no_open(path):
+            raise AssertionError("gen opened its output")
+
+        monkeypatch.setattr(fileio, "replacing", no_open)
+        path = tmp_path / "g.txt"
+        code, out, err = run(capsys, "gen", "sign", n, "--gamma", "-1", "--out", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: gamma must be positive, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_index_writes_no_file(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
@@ -289,7 +304,7 @@ class TestPave:
     def test_single_block_quality_is_norm(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
         a = gen_ensemble("bounded_random", 6, Seed(4), mu=0.4)
-        write_matrix(a, src)
+        write_path(write_matrix, a, src)
         code, out, _ = run(
             capsys, "pave", str(src), "-m", "1", "--trials", "3", "--seed", "1",
             "--out", str(tmp_path / "p.txt"),
@@ -300,7 +315,7 @@ class TestPave:
 
     def test_hollow_singletons(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
-        write_matrix(gen_ensemble("diagonal_free_random", 5, Seed(2)), src)
+        write_path(write_matrix, gen_ensemble("diagonal_free_random", 5, Seed(2)), src)
         code, out, _ = run(
             capsys, "pave", str(src), "-m", "5", "--trials", "2", "--seed", "1",
             "--out", str(tmp_path / "p.txt"),
@@ -314,7 +329,7 @@ class TestPave:
         np.fill_diagonal(m, 0.0)
         a = DenseMatrix(m)
         src = tmp_path / "m.txt"
-        write_matrix(a, src)
+        write_path(write_matrix, a, src)
         code, out, _ = run(
             capsys, "pave", str(src), "-m", "2", "--trials", "10000", "--seed", "3",
             "--eps", "0.6", "--out", str(tmp_path / "p.txt"),
@@ -326,7 +341,7 @@ class TestPave:
 
     def test_padding_warning_and_original_coordinates(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
-        write_matrix(gen_ensemble("bounded_random", 5, Seed(9), mu=0.3), src)
+        write_path(write_matrix, gen_ensemble("bounded_random", 5, Seed(9), mu=0.3), src)
         code, out, _ = run(
             capsys, "pave", str(src), "-m", "2", "--trials", "10", "--seed", "1",
             "--out", str(tmp_path / "p.txt"),
@@ -343,7 +358,7 @@ class TestPave:
     @pytest.mark.parametrize("flags", [("-m", "4", "--trials", "0"), ("-m", "0")])
     def test_bad_flags_rejected_before_padding_warning(self, capsys, tmp_path, flags):
         src = tmp_path / "s6.txt"
-        write_matrix(gen_ensemble("sign_normalized", 6, Seed(1)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", 6, Seed(1)), src)
         out_path = tmp_path / "p.txt"
         code, out, err = run(capsys, "pave", str(src), *flags, "--out", str(out_path))
         assert code == EXIT_USAGE and "error" in err
@@ -421,7 +436,7 @@ def test_degenerate_shapes_exit_cleanly(capsys, tmp_path, shape, argv):
     """Every run on an empty, 1x1 or 2x2 matrix maps to a documented exit
     code, and a usage error leaves no output file."""
     src, out_path = tmp_path / "m.txt", tmp_path / "out.txt"
-    write_matrix(DenseMatrix(np.full(shape, 0.5)), src)
+    write_path(write_matrix, DenseMatrix(np.full(shape, 0.5)), src)
     code, _, err = run(capsys, argv[0], str(src), *argv[1:], "--seed", "1",
                        "--out", str(out_path))
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPACITY)
@@ -690,7 +705,7 @@ class TestPaveProcesses:
         trial 25 lies in share 1 at 2 and at 3 processes."""
         src = tmp_path / "a.txt"
         a = DenseMatrix.identity(64) if kind == "identity" else gen_ensemble("sign_normalized", 64, Seed(6))
-        write_matrix(a, src)
+        write_path(write_matrix, a, src)
         results = self._each(capsys, monkeypatch, tmp_path,
                              [str(src), "-m", "8", "--trials", "40", "--seed", seed])
         assert results[0][0] == EXIT_OK and f"\nbest_trial={best}\n" in results[0][1]
@@ -703,7 +718,7 @@ class TestPaveProcesses:
         """31 trials of m = 8 are 248 blocks, under the split's 256; blocks of
         65 x 65 take the SVD, which stays in one process."""
         src = tmp_path / "a.txt"
-        write_matrix(gen_ensemble("sign_normalized", n, Seed(3)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", n, Seed(3)), src)
         results = self._each(capsys, monkeypatch, tmp_path,
                              [str(src), "-m", str(m), "--trials", str(trials)], split=False)
         assert results[0][0] == EXIT_OK
@@ -720,7 +735,7 @@ class TestPaveProcesses:
         monkeypatch.setattr(cli, "random_pave_share", die_in_child)
         monkeypatch.setattr(cli.forks, "CPUS", 2)
         src, out = tmp_path / "a.txt", tmp_path / "part.txt"
-        write_matrix(DenseMatrix.identity(64), src)
+        write_path(write_matrix, DenseMatrix.identity(64), src)
         code, stdout, err = run(capsys, "pave", str(src), "-m", "8", "--trials", "40",
                                 "--out", str(out))
         assert code == EXIT_CAPACITY and stdout == ""
@@ -733,7 +748,7 @@ class TestPaveProcesses:
         """Where `may_fork` refuses, the search runs once in this process, not
         once per share: the same bytes, from one call over every trial."""
         src = tmp_path / "a.txt"
-        write_matrix(gen_ensemble("sign_normalized", 64, Seed(6)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", 64, Seed(6)), src)
         argv = ["pave", str(src), "-m", "8", "--trials", "64", "--out", str(tmp_path / "p.txt")]
         monkeypatch.setattr(cli.forks, "CPUS", 3)
         forked = (run(capsys, *argv), (tmp_path / "p.txt").read_bytes())
@@ -810,7 +825,7 @@ class TestScan:
     def test_rate_one_estimate_is_spectral_norm(self, capsys, tmp_path):
         src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
         a = gen_ensemble("bounded_random", 6, Seed(5), mu=0.4)
-        write_matrix(a, src)
+        write_path(write_matrix, a, src)
         code, _, _ = run(
             capsys, "scan", str(src), "--vary", "rho", "--grid", "1.0",
             "--p", "4", "--seed", "2", "--out", str(out_csv),
@@ -825,7 +840,7 @@ class TestScan:
     def test_exact_matches_exact_moment(self, capsys, tmp_path):
         src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
         a = gen_ensemble("bounded_random", 10, Seed(6), mu=0.3)
-        write_matrix(a, src)
+        write_path(write_matrix, a, src)
         code, _, _ = run(
             capsys, "scan", str(src), "--vary", "rho", "--grid", "0.25,0.5",
             "--p", "4", "--seed", "2", "--method", "exact", "--out", str(out_csv),
@@ -853,7 +868,7 @@ class TestScan:
 
     def test_vary_p_needs_rate(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
-        write_matrix(gen_ensemble("bounded_random", 6, Seed(5), mu=0.4), src)
+        write_path(write_matrix, gen_ensemble("bounded_random", 6, Seed(5), mu=0.4), src)
         code, _, _ = run(
             capsys, "scan", str(src), "--vary", "p", "--grid", "2,4",
             "--seed", "2", "--out", str(tmp_path / "s.csv"),
@@ -886,7 +901,7 @@ class TestScan:
 
     def test_capacity_exit_3(self, capsys, tmp_path):
         src = tmp_path / "m.txt"
-        write_matrix(gen_ensemble("bounded_random", 16, Seed(5), mu=0.2), src)
+        write_path(write_matrix, gen_ensemble("bounded_random", 16, Seed(5), mu=0.2), src)
         code, _, _ = run(
             capsys, "scan", str(src), "--vary", "rho", "--grid", "0.5",
             "--method", "exact", "--seed", "2", "--out", str(tmp_path / "s.csv"),
@@ -897,7 +912,7 @@ class TestScan:
         """10^11 Monte Carlo draws at n = 12 ask for 8.7 TiB of uniform keys,
         which no machine allocates: exit 3 with an error line, no file."""
         src, out_csv = tmp_path / "a12.txt", tmp_path / "s.csv"
-        write_matrix(gen_ensemble("sign_normalized", 12, Seed(5)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", 12, Seed(5)), src)
         code, out, err = run(
             capsys, "scan", str(src), "--vary", "rho", "--grid", "0.5", "--p", "6",
             "--method", "mc", "--trials", str(10 ** 11), "--out", str(out_csv),
@@ -910,7 +925,7 @@ class TestScan:
         out_csv = tmp_path / "s.csv"
         for src in (tmp_path / "missing.txt", tmp_path / "m.txt"):
             if src.name == "m.txt":
-                write_matrix(gen_ensemble("sign_normalized", 8, Seed(5)), src)
+                write_path(write_matrix, gen_ensemble("sign_normalized", 8, Seed(5)), src)
             code, out, err = run(
                 capsys, "scan", str(src), "--vary", "rho", "--grid", "0.2,0.4",
                 "--p", "6", "--gamma", gamma, "--out", str(out_csv),
@@ -968,7 +983,7 @@ class TestScan:
         assert err == f"error: need trials >= 2, got {trials}\n"
         assert not out_csv.exists()
         src = tmp_path / "m.txt"
-        write_matrix(gen_ensemble("sign_normalized", 6, Seed(5)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", 6, Seed(5)), src)
         code, _, _ = run(capsys, "scan", str(src), *flags, "--method", "exact",
                          "--trials", trials, "--out", str(out_csv))
         assert code == EXIT_OK and out_csv.exists()
@@ -979,7 +994,7 @@ class TestScan:
         enough to refuse fewer than two draws: the body is not read."""
         n = moments.EXACT_BERNOULLI_MAX_N + 1
         src, out_csv = tmp_path / "m.txt", tmp_path / "s.csv"
-        write_matrix(gen_ensemble("sign_normalized", n, Seed(5)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", n, Seed(5)), src)
 
         def no_read(path):
             raise AssertionError("scan read the matrix")
@@ -993,7 +1008,7 @@ class TestScan:
     def test_auto_trials_below_two_at_the_exact_cap_run_exact(self, capsys, tmp_path):
         n = moments.EXACT_BERNOULLI_MAX_N
         src, out_csv = tmp_path / "m.txt", tmp_path / "s.csv"
-        write_matrix(gen_ensemble("sign_normalized", n, Seed(5)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", n, Seed(5)), src)
         flags = ("--vary", "rho", "--grid", "0.2", "--out", str(out_csv))
         assert run(capsys, "scan", str(src), *flags, "--method", "exact")[0] == EXIT_OK
         exact = out_csv.read_bytes()
@@ -1053,7 +1068,7 @@ class TestScanBoundColumns:
     def test_bound_columns(self, capsys, tmp_path, name):
         a, flags, step3, extrap = self.CASES[name]
         src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
-        write_matrix(a, src)
+        write_path(write_matrix, a, src)
         code, _, _ = run(capsys, "scan", str(src), *flags, "--seed", "2",
                          "--method", "exact", "--out", str(out_csv))
         assert code == EXIT_OK
@@ -1080,7 +1095,7 @@ class TestScanBoundColumns:
     def test_monte_carlo_streams(self, capsys, tmp_path):
         """Row i estimates on stream 2i and its reference moment on 2i + 1."""
         src, out_csv = tmp_path / "m.txt", tmp_path / "scan.csv"
-        write_matrix(_SIGN5, src)
+        write_path(write_matrix, _SIGN5, src)
         code, _, _ = run(capsys, "scan", str(src), "--vary", "rho", "--grid", "0.1,0.3",
                          "--p", "4", "--seed", "2", "--method", "mc", "--trials", "40",
                          "--out", str(out_csv))
@@ -1131,6 +1146,72 @@ class TestScanEnumeratesOnce:
         assert masked_calls == [1 << 10]
 
 
+class TestPaveRefusesBeforeTheRead:
+    """`pave` opens its `--out` after its flag checks and the seed, before
+    the read: a refused output or seed prints nothing and reads nothing,
+    and a search that fails leaves a previous target as it was."""
+
+    @pytest.fixture
+    def no_read(self, monkeypatch):
+        def no_read(path):
+            raise AssertionError("pave read the matrix")
+
+        monkeypatch.setattr(fileio, "read_matrix", no_read)
+
+    @pytest.mark.parametrize("target", ["missing/x.txt", "."])
+    def test_unwritable_out(self, capsys, tmp_path, no_read, target):
+        src, path = tmp_path / "a.txt", str(tmp_path / target)
+        src.write_text("2 2\n1 0\n0 1\n")
+        code, out, err = run(capsys, "pave", str(src), "-m", "2", "--out", path)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {path!r} (run pave)\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["a.txt"]
+
+    def test_bad_seed(self, capsys, tmp_path, no_read):
+        src = tmp_path / "a.txt"
+        src.write_text("2 2\n1 0\n0 1\n")
+        code, out, err = run(capsys, "pave", str(src), "-m", "2", "--seed", "nope",
+                             "--out", str(tmp_path / "p.txt"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: cannot parse seed 'nope'\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["a.txt"]
+
+    @pytest.mark.parametrize("failure, cpus", [("killed", 2), ("memory", 2), ("memory", 1)])
+    def test_failed_search_keeps_the_previous_target(
+        self, capsys, tmp_path, monkeypatch, failure, cpus
+    ):
+        """A share child that is killed, or a search that runs out of memory
+        (split over two processes, or in this one): exit 3, no result line,
+        and a previous target keeps its bytes, with no temp file left."""
+        parent, real = os.getpid(), cli.random_pave_share
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        def no_room(*args):
+            raise MemoryError("no room for the search")
+
+        if failure == "killed":
+            monkeypatch.setattr(cli, "random_pave_share", die_in_child)
+        else:
+            monkeypatch.setattr(cli, "random_pave_share", no_room)
+            monkeypatch.setattr(cli, "random_pave", no_room)
+        monkeypatch.setattr(cli.forks, "CPUS", cpus)
+        src, path = tmp_path / "a.txt", tmp_path / "part.txt"
+        write_path(write_matrix, DenseMatrix.identity(64), src)
+        path.write_text("previous\n")
+        code, out, err = run(capsys, "pave", str(src), "-m", "8", "--trials", "40",
+                             "--out", str(path))
+        assert code == EXIT_CAPACITY and out == "" and err.startswith("error: ")
+        if failure == "memory":
+            assert err == "error: no room for the search\n"
+        _assert_no_children()
+        assert path.read_bytes() == b"previous\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.txt", "part.txt"]
+
+
 class TestScanRefusesBeforeTheRead:
     """Errors `scan` can tell from its flags, the matrix file's header or
     the output path are raised without reading the matrix."""
@@ -1144,7 +1225,7 @@ class TestScanRefusesBeforeTheRead:
 
     def _src(self, tmp_path, n):
         src = tmp_path / "m.txt"
-        write_matrix(gen_ensemble("sign_normalized", n, Seed(5)), src)
+        write_path(write_matrix, gen_ensemble("sign_normalized", n, Seed(5)), src)
         return src
 
     @pytest.mark.parametrize("rate", ["1.5", "-0.25"])
@@ -1293,7 +1374,35 @@ class TestBound:
         assert code == EXIT_USAGE and err.startswith("error:") and out == ""
 
 
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (("haagerup", "--q", "3"), EXIT_OK,
+         f"haagerup_bound = {cli._fmt(bounds.haagerup_constant(3.0))}\n", ""),
+        (("haagerup",), EXIT_USAGE, "", "error: bound haagerup needs --q\n"),
+        (("mu", "--n", "100", "--gamma", "1"), EXIT_OK,
+         f"mu_bound = {cli._fmt(bounds.mu_bound(100, 1.0))}\n", ""),
+        (("mu", "--n", "100"), EXIT_USAGE, "", "error: bound mu needs --gamma\n"),
+        (("pipeline", "--n", "1024", "--gamma", "1", "--delta", "0.25", "--m", "4"), EXIT_USAGE,
+         "", "error: bound pipeline needs exactly one of --delta or --m\n"),
+        (("pipeline", "--n", "1024", "--gamma", "1"), EXIT_USAGE,
+         "", "error: bound pipeline needs exactly one of --delta or --m\n"),
+    ], ids=["haagerup", "haagerup-no-q", "mu", "mu-no-gamma", "pipeline-both", "pipeline-neither"])
+    def test_named_bound_lines(self, capsys, argv, code, out, err):
+        assert run(capsys, "bound", *argv) == (code, out, err)
+
+
 class TestConfig:
+    def test_equals_form_runs_as_the_separate_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nmu=0.2\n")
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        joined = run(capsys, f"--config={cfg}", "gen", "bounded", "8", "--out", str(p1))
+        apart = run(capsys, "--config", str(cfg), "gen", "bounded", "8", "--out", str(p2))
+        assert joined[0] == EXIT_OK
+        assert joined == (apart[0], apart[1].replace(str(p2), str(p1)), apart[2])
+        assert p1.read_bytes() == p2.read_bytes()
+        missing = tmp_path / "missing.cfg"
+        assert run(capsys, f"--config={missing}", "bound", "haagerup", "--q", "3")[0] == EXIT_USAGE
+
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=5\nmu=0.2\n")

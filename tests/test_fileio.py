@@ -27,7 +27,7 @@ from pavelab.fileio import (
 )
 
 from . import oracles
-from .helpers import matrix_to_text, partition_from_text
+from .helpers import matrix_to_text, partition_from_text, write_path
 from .test_cli import _assert_no_children
 from .test_moments import _one_blas_thread_env
 
@@ -35,7 +35,7 @@ from .test_moments import _one_blas_thread_env
 def test_matrix_round_trip_exact(rng, tmp_path):
     a = DenseMatrix(rng.uniform(-1e3, 1e3, (5, 3)) * 10.0 ** rng.integers(-8, 8, (5, 3)))
     path = tmp_path / "m.txt"
-    write_matrix(a, path)
+    write_path(write_matrix, a, path)
     back = read_matrix(path)
     assert back.same_entries(a)  # 17 significant digits round-trip float64
 
@@ -283,12 +283,12 @@ def _traced_peak(fn, *args):
 def test_matrix_io_memory_is_bounded(rng, tmp_path):
     a = DenseMatrix(rng.standard_normal((512, 512)))
     path = tmp_path / "m.txt"
-    write_matrix(a, path)
+    write_path(write_matrix, a, path)
     # the parsed array and the chunk temporaries; whole-text parsing peaks at 7.8x
     assert _traced_peak(read_matrix, path) < 3 * a.data.nbytes
     # a few rows' worth of formatting; joining the whole text peaks at about 10 MiB
     row_bytes = len(matrix_to_text(a).splitlines()[1])
-    assert _traced_peak(write_matrix, a, tmp_path / "out.txt") < 8 * row_bytes
+    assert _traced_peak(write_path, write_matrix, a, tmp_path / "out.txt") < 8 * row_bytes
     assert (tmp_path / "out.txt").read_bytes() == path.read_bytes()
 
 
@@ -297,7 +297,7 @@ def test_read_matrix_keeps_the_parsed_array_without_a_copy(rng, tmp_path):
     finiteness mask and one chunk; a copy for DenseMatrix would make 2x."""
     a = DenseMatrix(rng.standard_normal((1024, 1024)))
     path = tmp_path / "m.txt"
-    write_matrix(a, path)
+    write_path(write_matrix, a, path)
     assert _traced_peak(read_matrix, path) < 1.6 * a.data.nbytes
     back = read_matrix(path)
     assert back.same_entries(a) and not back.data.flags.writeable
@@ -342,7 +342,7 @@ def test_writer_matches_reference(rng, case):
 @pytest.mark.parametrize("case", list(_WRITER_CASES))
 def test_written_file_matches_reference(rng, case, tmp_path):
     a = DenseMatrix(np.asarray(_WRITER_CASES[case](rng), dtype=float))
-    write_matrix(a, tmp_path / "m.txt")
+    write_path(write_matrix, a, tmp_path / "m.txt")
     assert (tmp_path / "m.txt").read_bytes() == oracles.matrix_to_text(a).encode()
 
 
@@ -409,7 +409,7 @@ def test_write_failing_midway_keeps_previous_file(rng, tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio, "open", HalfWrite, raising=False)
     with pytest.raises(OSError):
-        write_matrix(DenseMatrix(rng.uniform(-1, 1, (4, 4))), path)
+        write_path(write_matrix, DenseMatrix(rng.uniform(-1, 1, (4, 4))), path)
     _only(tmp_path, path)
 
 
@@ -421,7 +421,7 @@ def test_failing_serializer_keeps_previous_partition(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio, "partition_to_text", boom)
     with pytest.raises(RuntimeError):
-        write_partition(Partition.from_blocks(2, [[0], [1]]), path)
+        write_path(write_partition, Partition.from_blocks(2, [[0], [1]]), path)
     _only(tmp_path, path)
 
 
@@ -435,7 +435,7 @@ def test_failure_midway_through_formatting_keeps_previous_file(rng, tmp_path, mo
 
     monkeypatch.setattr(fileio, "_matrix_lines", fail_after_two_rows)
     with pytest.raises(MemoryError):
-        write_matrix(DenseMatrix(rng.uniform(-1, 1, (4, 4))), path)
+        write_path(write_matrix, DenseMatrix(rng.uniform(-1, 1, (4, 4))), path)
     _only(tmp_path, path)
 
 
@@ -447,14 +447,14 @@ def test_failing_rename_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fileio.os, "replace", boom)
     with pytest.raises(OSError):
-        write_partition(Partition.from_blocks(2, [[0], [1]]), path)
+        write_path(write_partition, Partition.from_blocks(2, [[0], [1]]), path)
     _only(tmp_path, path)
 
 
 def test_write_gives_plain_mode_and_keeps_symlinks(tmp_path):
     target, link = tmp_path / "target.txt", tmp_path / "link.txt"
     link.symlink_to(target.name)
-    write_partition(Partition.from_blocks(2, [[0, 1]]), link)
+    write_path(write_partition, Partition.from_blocks(2, [[0, 1]]), link)
     assert link.is_symlink() and target.read_text() == "0 1\n"
     umask = os.umask(0)
     os.umask(umask)
@@ -464,7 +464,7 @@ def test_write_gives_plain_mode_and_keeps_symlinks(tmp_path):
 def test_write_keeps_existing_mode(tmp_path):
     path = _previous(tmp_path)
     path.chmod(0o640)
-    write_partition(Partition.from_blocks(2, [[0, 1]]), path)
+    write_path(write_partition, Partition.from_blocks(2, [[0, 1]]), path)
     assert path.read_text() == "0 1\n"
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
@@ -474,7 +474,7 @@ def test_write_to_fifo_writes_in_place(tmp_path):
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        write_partition(Partition.from_blocks(2, [[0, 1]]), fifo)
+        write_path(write_partition, Partition.from_blocks(2, [[0, 1]]), fifo)
         assert os.read(reader, 100) == b"0 1\n"
     finally:
         os.close(reader)
@@ -657,7 +657,7 @@ class TestSplitReadFailures:
     def _file(self, rng, tmp_path):
         a = DenseMatrix(rng.standard_normal((300, 4)))
         path = tmp_path / "m.txt"
-        write_matrix(a, path)
+        write_path(write_matrix, a, path)
         return path, a
 
     def _read(self, monkeypatch, path, workers):
@@ -769,7 +769,7 @@ class TestAsciiLocale:
 
     def test_well_formed_file_gives_the_utf8_bits(self, rng, tmp_path):
         path = tmp_path / "m.txt"
-        write_matrix(DenseMatrix(rng.uniform(-1, 1, (70, 5))), path)
+        write_path(write_matrix, DenseMatrix(rng.uniform(-1, 1, (70, 5))), path)
         assert _read_in_ascii_locale(path) == read_matrix(path).data.tobytes().hex()
 
     def test_non_ascii_byte_is_a_format_error(self, tmp_path):

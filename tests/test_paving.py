@@ -261,3 +261,23 @@ def test_moment_to_paving_bridge(rng, m, p):
         eps = exact_moment(a, UniformK(n, n // m), p).value
         assert m ** (1.0 / p) <= 3.0
         assert exhaustive_pave(a, m).quality <= 3.0 * eps + 1e-12
+
+
+_WIDE = DenseMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_pave(_WIDE, 1, 1, Seed(0)), "paving needs a square matrix"),
+    (lambda: exhaustive_pave(_WIDE, 1), "paving needs a square matrix"),
+    (lambda: exhaustive_pave(DenseMatrix.identity(4), 0), "need 1 <= m <= n, got m=0"),
+    (lambda: exhaustive_pave(DenseMatrix.identity(4), 5), "need 1 <= m <= n, got m=5"),
+    (lambda: exhaustive_pave(DenseMatrix.identity(4), 3),
+     "balanced paving needs m | n, got m=3, n=4"),
+    (lambda: pad_to_multiple(_WIDE, 2), "padding needs a square matrix"),
+    (lambda: pad_to_multiple(DenseMatrix.identity(4), 0), "m must be positive"),
+], ids=["random-wide", "exhaustive-wide", "exhaustive-m-0", "exhaustive-m-past-n",
+        "exhaustive-m-not-dividing", "pad-wide", "pad-m-0"])
+def test_refusals(call, message):
+    with pytest.raises(ParameterError) as exc:
+        call()
+    assert type(exc.value) is ParameterError and str(exc.value) == message

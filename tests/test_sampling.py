@@ -276,3 +276,18 @@ class TestEnsembles:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             gen_ensemble("mystery", 4, Seed(0))
+
+
+@pytest.mark.parametrize("model, args, message", [
+    (UniformK, (4, 5), "need 0 <= k <= n, got k=5, n=4"),
+    (UniformK, (4, -1), "need 0 <= k <= n, got k=-1, n=4"),
+    (Bernoulli, (4, 1.5), "rate must be in [0, 1], got 1.5"),
+    (Bernoulli, (4, -0.1), "rate must be in [0, 1], got -0.1"),
+    (BernoulliPair, (4, 1.5), "rate must be in [0, 1], got 1.5"),
+    (BernoulliPair, (4, -0.1), "rate must be in [0, 1], got -0.1"),
+], ids=["uniformk-past-n", "uniformk-negative", "bernoulli-above", "bernoulli-below",
+        "pair-above", "pair-below"])
+def test_model_refusals(model, args, message):
+    with pytest.raises(ParameterError) as exc:
+        model(*args)
+    assert type(exc.value) is ParameterError and str(exc.value) == message
